@@ -11,8 +11,11 @@ The package splits into four layers:
   7-dissection identity, the Frobenius congruence, proof replays, and
   the residue scanner.
 
-The hot convolution loops live in a compiled extension with a pure
-Python fallback; :func:`backend` reports which one is active.
+Eta-quotients are expanded in pure Python by sparse passes over the
+nonzero coefficients of each fk (see :func:`qpart.etaq.eval_eta`).
+Dense products of general series use small coefficient kernels that
+have an optional compiled twin; :func:`backend` reports which one is
+active.
 """
 
 from ._backend import BACKEND as _BACKEND

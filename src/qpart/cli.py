@@ -65,9 +65,7 @@ def cmd_expand(args: argparse.Namespace) -> int:
         text = args.expr
     else:
         raise ValueError("nothing to expand: give an expression or --fixture")
-    series = eval_eta(parse_eta(text), args.order)
-    if args.mod is not None:
-        series = series.reduce_mod(args.mod)
+    series = eval_eta(parse_eta(text), args.order, modulus=args.mod)
     if args.support is not None:
         residues = sorted(series.support_residues(args.support))
         if args.format == "json":

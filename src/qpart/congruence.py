@@ -26,10 +26,10 @@ from typing import Iterable
 
 from .etaq import (
     EtaExpression,
+    EtaTerm,
     ThetaFamily,
     eval_eta,
     parse_eta,
-    pochhammer_f,
     theta_series,
     theta_support_mod,
 )
@@ -198,10 +198,9 @@ def lift_factorization_holds(j: int, k: int, order: int = 200) -> bool:
     f2^(7j+k-1)/f1^(7j+k) == (f14/f7)^j * f2^(k-1)/f1^k (mod 7)."""
     if j < 0 or k < 1:
         raise ValueError("need j >= 0 and k >= 1")
-    lhs = eval_eta(EtaExpression.single(1, 0, {2: 7 * j + k - 1, 1: -(7 * j + k)}), order)
-    scale = eval_eta(EtaExpression.single(1, 0, {14: j, 7: -j}), order)
-    rhs = scale * eval_eta(family_expression(ColoredFamilySpec(Family.ODD_COLORED, k)), order)
-    return (lhs - rhs).reduce_mod(7).is_zero()
+    lhs = EtaTerm.make(1, 0, {2: 7 * j + k - 1, 1: -(7 * j + k)})
+    rhs = EtaTerm.make(-1, 0, {14: j, 7: -j, 2: k - 1, 1: -k})
+    return eval_eta(EtaExpression((lhs, rhs)), order, modulus=7).is_zero()
 
 
 # ---------------------------------------------------------------------------
@@ -269,9 +268,9 @@ def verify_frobenius(a: int, b: int, p: int, order: int = 300) -> bool:
         raise ValueError("need a >= 1 and b >= 1")
     if not _is_prime(p):
         raise ValueError(f"p must be prime, got {p}")
-    lhs = pochhammer_f(a, order) ** (b * p)
-    rhs = pochhammer_f(a * p, order) ** b
-    return (lhs - rhs).reduce_mod(p).is_zero()
+    difference = EtaExpression((EtaTerm.make(1, 0, {a: b * p}),
+                                EtaTerm.make(-1, 0, {a * p: b})))
+    return eval_eta(difference, order, modulus=p).is_zero()
 
 
 # ---------------------------------------------------------------------------
@@ -359,7 +358,7 @@ def replay_proof(k: int, order: int = 300) -> ProofTrace:
     spec = ColoredFamilySpec(Family.ODD_COLORED, k)
     transformed = eval_eta(family_expression(spec), order).substitute(recipe.scale)
     numerator = eval_eta(recipe.numerator, order)
-    rewritten = numerator * (pochhammer_f(recipe.divisor_scale, order) ** -1)
+    rewritten = eval_eta(f"{recipe.numerator}/f{recipe.divisor_scale}", order)
 
     frobenius_ok = (verify_frobenius(recipe.scale, 1, 7, order)
                     and (transformed - rewritten).reduce_mod(7).is_zero())

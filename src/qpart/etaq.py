@@ -19,9 +19,9 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 from functools import lru_cache
+from operator import add, sub
 from typing import Mapping, Union
 
-from ._backend import kernels
 from .series import TruncatedSeries, _modulus_value
 
 
@@ -347,23 +347,32 @@ def _format_term(term: EtaTerm) -> str:
 # builders
 # ---------------------------------------------------------------------------
 
+_Support = tuple[tuple[int, int], ...]
+
+
 @lru_cache(maxsize=None)
-def _pochhammer_coeffs(k: int, order: int) -> tuple[int, ...]:
-    c = [0] * order
-    c[0] = 1
+def _pochhammer_coeffs(k: int, order: int) -> _Support:
+    """Support of fk below the order: its (exponent, coefficient) pairs
+    with nonzero coefficient, in increasing exponent order, starting
+    with (0, 1).
+
+    By Euler's pentagonal number theorem the exponents are
+    k*j*(3j-1)/2 and k*j*(3j+1)/2 for j >= 1, both with coefficient
+    (-1)^j; they are distinct and interleave in increasing order.
+    """
+    support = [(0, 1)]
     j = 1
     while True:
         e_pos = k * j * (3 * j - 1) // 2
-        e_neg = k * j * (3 * j + 1) // 2
-        if e_pos >= order and e_neg >= order:
+        if e_pos >= order:
             break
         s = -1 if j & 1 else 1
-        if e_pos < order:
-            c[e_pos] += s
+        support.append((e_pos, s))
+        e_neg = e_pos + k * j
         if e_neg < order:
-            c[e_neg] += s
+            support.append((e_neg, s))
         j += 1
-    return tuple(c)
+    return tuple(support)
 
 
 def pochhammer_f(k: int, order: int) -> TruncatedSeries:
@@ -376,61 +385,80 @@ def pochhammer_f(k: int, order: int) -> TruncatedSeries:
         raise ValueError("scale k must be >= 1")
     if order < 1:
         raise ValueError("order must be >= 1")
-    return TruncatedSeries(_pochhammer_coeffs(k, order))
+    c = [0] * order
+    for d, s in _pochhammer_coeffs(k, order):
+        c[d] = s
+    return TruncatedSeries(c)
+
+
+def _times_pochhammer(acc: list[int], support: _Support, m: int | None) -> list[int]:
+    """acc * fk through len(acc): one shifted add or subtract of acc per
+    nonzero exponent of fk."""
+    out = acc[:]
+    for d, s in support[1:]:
+        out[d:] = map(add if s > 0 else sub, out[d:], acc)
+    return out if m is None else [c % m for c in out]
+
+
+def _over_pochhammer(acc: list[int], support: _Support, m: int | None) -> list[int]:
+    """acc / fk through len(acc), by b[n] = acc[n] - sum_j s_j * b[n - d_j]
+    over the nonzero exponents d_j >= 1 of fk (whose constant term is 1).
+    With a modulus each b[n] is reduced as soon as it is known."""
+    b = acc[:]
+    rest = support[1:]
+    for n in range(1, len(b)):
+        t = b[n]
+        for d, s in rest:
+            if d > n:
+                break
+            if s > 0:
+                t -= b[n - d]
+            else:
+                t += b[n - d]
+        b[n] = t if m is None else t % m
+    return b
 
 
 def eval_eta(expr: Union[EtaExpression, str], order: int,
              modulus: int | None = None) -> TruncatedSeries:
     """Expand an eta-quotient expression through the given order.
 
-    With `modulus` set, every intermediate coefficient is reduced into
-    0..modulus-1; the result equals reduce_mod of the exact expansion
-    and the arithmetic stays in machine words for small moduli.
+    A term c * q^s * prod fk^e is expanded through order N - s (N the
+    requested order), one factor at a time: |e| passes that multiply
+    or divide the running series by fk.  A pass uses only the nonzero
+    coefficients of fk, about 2*sqrt(2N/(3k)) of them, each +1 or -1:
+    multiplying adds and subtracts shifted copies of the series, and
+    dividing runs the recurrence b[n] = acc[n] - sum_j s_j * b[n - d_j].
+    So a pass costs about N * nnz(fk) integer additions and no
+    multiplications, and a term costs sum_k |e_k| passes.
+
+    With `modulus` set, every pass reduces into 0..modulus-1.  Nothing
+    is divided by anything but fk's constant term 1, so this holds for
+    every modulus >= 2, and the result equals reduce_mod of the exact
+    expansion while the coefficients stay below the modulus.
     """
     if isinstance(expr, str):
         expr = parse_eta(expr)
     if order < 1:
         raise ValueError("order must be >= 1")
-    if modulus is not None:
-        return _eval_eta_mod(expr, order, _modulus_value(modulus))
-    total = TruncatedSeries.zero(order)
-    for term in expr.terms:
-        acc = TruncatedSeries.one(order)
-        for k, e in term.factors:
-            acc = acc * (pochhammer_f(k, order) ** e)
-        total = total + (acc * term.coefficient).shifted(term.q_shift)
-    return total
-
-
-def _pow_list_mod(base: list[int], e: int, order: int, m: int) -> list[int]:
-    if e < 0:
-        base = kernels.inv_mod(base, order, m)
-        e = -e
-    result = [1] + [0] * (order - 1)
-    while e:
-        if e & 1:
-            result = kernels.mul_mod(result, base, order, m)
-        e >>= 1
-        if e:
-            base = kernels.mul_mod(base, base, order, m)
-    return result
-
-
-def _eval_eta_mod(expr: EtaExpression, order: int, m: int) -> TruncatedSeries:
+    m = None if modulus is None else _modulus_value(modulus)
     total = [0] * order
     for term in expr.terms:
-        acc = [1] + [0] * (order - 1)
-        for k, e in term.factors:
-            base = [c % m for c in _pochhammer_coeffs(k, order)]
-            acc = kernels.mul_mod(acc, _pow_list_mod(base, e, order, m), order, m)
-        c = term.coefficient % m
-        if not c:
-            continue
         s = term.q_shift
-        for i in range(max(0, order - s)):
-            if acc[i]:
-                total[i + s] = (total[i + s] + c * acc[i]) % m
-    return TruncatedSeries(total)
+        c = term.coefficient if m is None else term.coefficient % m
+        if s >= order or not c:
+            continue
+        n = order - s
+        acc = [1] + [0] * (n - 1)
+        for k, e in term.factors:
+            support = _pochhammer_coeffs(k, n)
+            if len(support) == 1:  # fk == 1 below order n
+                continue
+            step = _times_pochhammer if e > 0 else _over_pochhammer
+            for _ in range(abs(e)):
+                acc = step(acc, support, m)
+        total[s:] = map(add, total[s:], [c * x for x in acc])
+    return TruncatedSeries(total if m is None else [x % m for x in total])
 
 
 # ---------------------------------------------------------------------------

@@ -53,7 +53,7 @@ class TruncatedSeries:
         if not cs:
             raise ValueError("a series needs order >= 1")
         for c in cs:
-            if not isinstance(c, int):
+            if not isinstance(c, int) or isinstance(c, bool):
                 raise TypeError(f"coefficients must be ints, got {type(c).__name__}")
         object.__setattr__(self, "_coeffs", cs)
 

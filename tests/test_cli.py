@@ -48,6 +48,24 @@ def test_expand_json_uses_decimal_strings(capsys):
     assert int(obj["coefficients"][59]) > 10**15  # exact, no rounding
 
 
+def test_expand_mod_matches_reduced_exact(capsys):
+    code, out, _ = run(capsys, "expand", "1/f1^26", "--order", "60",
+                       "--mod", "7", "--format", "json")
+    assert code == 0
+    _, exact, _ = run(capsys, "expand", "1/f1^26", "--order", "60",
+                      "--format", "json")
+    reduced = json.loads(exact)
+    reduced["coefficients"] = [str(int(c) % 7) for c in reduced["coefficients"]]
+    assert out == json.dumps(reduced, indent=2) + "\n"
+
+
+def test_expand_mod_below_two_exits_2(capsys):
+    code, out, err = run(capsys, "expand", "f1", "--order", "5", "--mod", "1")
+    assert code == 2
+    assert out == ""
+    assert "modulus" in err
+
+
 def test_expand_csv(capsys):
     code, out, _ = run(capsys, "expand", "f1", "--order", "3", "--format", "csv")
     assert code == 0

@@ -36,6 +36,14 @@ def test_empty_and_nonint_rejected():
         TruncatedSeries([1, 2.5])
 
 
+def test_bool_coefficients_rejected():
+    # bool is a subclass of int, so it needs its own check
+    with pytest.raises(TypeError):
+        TruncatedSeries([1, True])
+    with pytest.raises(TypeError):
+        TruncatedSeries([False])
+
+
 def test_index_outside_stored_range():
     with pytest.raises(IndexError):
         S(1, 2)[2]
