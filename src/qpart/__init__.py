@@ -13,12 +13,10 @@ The package splits into four layers:
 
 Eta-quotients are expanded in pure Python by sparse passes over the
 nonzero coefficients of each fk (see :func:`qpart.etaq.eval_eta`).
-Dense products of general series use small coefficient kernels that
-have an optional compiled twin; :func:`backend` reports which one is
-active.
+Dense products of general series (``*``, ``inverse``, ``**``) use
+small pure-Python coefficient kernels.
 """
 
-from ._backend import BACKEND as _BACKEND
 from .congruence import (
     MOD7_FAMILY_ROWS,
     RAMANUJAN_ROWS,
@@ -73,8 +71,8 @@ __version__ = "0.1.0"
 
 
 def backend() -> str:
-    """Name of the active coefficient-kernel backend: "c" or "python"."""
-    return _BACKEND
+    """Name of the coefficient-kernel backend; always "python"."""
+    return "python"
 
 
 __all__ = [

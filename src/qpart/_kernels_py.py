@@ -1,12 +1,10 @@
 """Pure-Python coefficient kernels.
 
-Fallback implementations of the hot loops; `qpart._kernels` is the
-compiled twin with the same signatures and semantics.  Coefficient
-sequences are lists of Python ints and all arithmetic is exact (the
-`*_mod` variants reduce into the least nonnegative residue system).
+The dense loops behind `TruncatedSeries` `*`, `inverse` and `**`.
+Coefficient sequences are lists of Python ints and all arithmetic is
+exact.  Eta-quotients do not come through here: `qpart.etaq.eval_eta`
+expands them by sparse passes, in both the exact and the modular lane.
 """
-
-BACKEND = "python"
 
 
 def mul(a, b, n):
@@ -40,35 +38,4 @@ def inv(a, n):
                 break
             s += a[j] * b[t - j]
         b[t] = -s if a0 == 1 else s
-    return b
-
-
-def mul_mod(a, b, n, m):
-    """Cauchy product with every coefficient reduced modulo m."""
-    out = [0] * n
-    br = [x % m for x in b[:n]]
-    for i in range(min(len(a), n)):
-        ai = a[i] % m
-        if not ai:
-            continue
-        for j, bj in enumerate(br[: n - i]):
-            if bj:
-                out[i + j] = (out[i + j] + ai * bj) % m
-    return out
-
-
-def inv_mod(a, n, m):
-    """Inverse of a series whose constant term is a unit modulo m."""
-    ar = [x % m for x in a[:n]]
-    a0 = pow(ar[0], -1, m)
-    b = [0] * n
-    b[0] = a0
-    support = [j for j in range(1, len(ar)) if ar[j]]
-    for t in range(1, n):
-        s = 0
-        for j in support:
-            if j > t:
-                break
-            s += ar[j] * b[t - j]
-        b[t] = (-a0 * s) % m
     return b

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Union
 
-from ._backend import kernels
+from . import _kernels_py as kernels
 
 
 class NonUnitConstantTermError(ValueError):
