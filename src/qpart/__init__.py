@@ -11,10 +11,12 @@ The package splits into four layers:
   7-dissection identity, the Frobenius congruence, proof replays, and
   the residue scanner.
 
-Eta-quotients are expanded in pure Python by sparse passes over the
-nonzero coefficients of each fk (see :func:`qpart.etaq.eval_eta`).
-Dense products of general series (``*``, ``inverse``, ``**``) use
-small pure-Python coefficient kernels.
+Every truncated product and quotient, in the exact and the modular
+lane, goes through two pure-Python kernels that work over the nonzero
+coefficients of one operand (``mul`` and ``div`` in
+``qpart._kernels_py``): eta-quotients are expanded by passes that
+multiply or divide by each fk (see :func:`qpart.etaq.eval_eta`), and
+general series use the same kernels for ``*``, ``inverse`` and ``**``.
 """
 
 from .congruence import (

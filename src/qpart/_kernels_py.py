@@ -1,41 +1,77 @@
 """Pure-Python coefficient kernels.
 
-The dense loops behind `TruncatedSeries` `*`, `inverse` and `**`.
-Coefficient sequences are lists of Python ints and all arithmetic is
-exact.  Eta-quotients do not come through here: `qpart.etaq.eval_eta`
-expands them by sparse passes, in both the exact and the modular lane.
+The two kernels behind every truncated product and quotient in the
+package: `TruncatedSeries` `*`, `inverse` and `**`, and the passes by
+which `qpart.etaq.eval_eta` multiplies or divides by fk.  Both work
+over the nonzero coefficients of one operand, so a sparse operand such
+as fk costs about n * nnz(fk) additions and no multiplications.
+Coefficient sequences are sequences of Python ints; with `m` set the
+result is reduced into 0..m-1, otherwise all arithmetic is exact.
 """
 
-
-def mul(a, b, n):
-    """Cauchy product of coefficient sequences, truncated to length n."""
-    out = [0] * n
-    for i in range(min(len(a), n)):
-        ai = a[i]
-        if not ai:
-            continue
-        for j, bj in enumerate(b[: n - i]):
-            if bj:
-                out[i + j] += ai * bj
-    return out
+from itertools import compress, islice
+from operator import add, sub
 
 
-def inv(a, n):
-    """Multiplicative inverse of a series with constant term +1 or -1.
+def mul(a, b, n, m=None):
+    """Product of a and b, truncated to length n, for a nonempty a.
 
-    Standard recurrence: b[0] = 1/a[0] and, for t >= 1,
-    b[t] = -(1/a[0]) * sum_{j>=1} a[j] * b[t-j].  Zero coefficients of
-    `a` are skipped, so sparse inputs invert in O(n * nnz(a)).
+    One shifted slice add (or subtract) of b per coefficient +1 (or -1)
+    of a; other coefficients add a scaled copy of b.
     """
-    a0 = a[0]
-    b = [0] * n
-    b[0] = a0
-    support = [j for j in range(1, min(len(a), n)) if a[j]]
-    for t in range(1, n):
-        s = 0
-        for j in support:
-            if j > t:
-                break
-            s += a[j] * b[t - j]
-        b[t] = -s if a0 == 1 else s
-    return b
+    out = [0] * n
+    lb = len(b)
+    start = 0
+    if a[0] == 1:  # the term a[0] * b is a copy of b
+        out[:lb] = b[:n]
+        start = 1
+    for i in compress(range(start, n), islice(a, start, n)):
+        ai = a[i]
+        j = i + lb
+        if ai == 1:
+            out[i:j] = map(add, out[i:j], b)
+        elif ai == -1:
+            out[i:j] = map(sub, out[i:j], b)
+        else:
+            out[i:j] = map(add, out[i:j], [ai * x for x in b[: n - i]])
+    return out if m is None else [x % m for x in out]
+
+
+def div(a, b, n, m=None):
+    """Quotient a / b, truncated to length n, for b[0] = +1 or -1.
+
+    Runs c[t] = (a[t] - sum_{j>=1} b[j] * c[t-j]) / b[0] over the
+    nonzero b[j] only.  Writing a / b as (b[0]*a) / (b[0]*b) makes the
+    constant term 1; the +1 and -1 coefficients of b[0]*b then cost one
+    addition each and no multiplication.  Between consecutive nonzero
+    exponents of b the set of terms is fixed, so each stretch of t runs
+    over a fixed list with no bounds test.  With m set each c[t] is
+    reduced as soon as it is known.
+    """
+    b0 = b[0]
+    if b0 not in (1, -1):
+        raise ValueError(f"cannot divide by a series with constant term {b0}")
+    out = list(a[:n]) if b0 == 1 else [-x for x in a[:n]]
+    out += [0] * (n - len(out))
+    plus, minus, scaled = [], [], []
+    lo = 0
+    for hi in [*compress(range(1, n), islice(b, 1, n)), n]:
+        for t in range(lo, hi):
+            x = out[t]
+            for j in plus:
+                x -= out[t - j]
+            for j in minus:
+                x += out[t - j]
+            for j, bj in scaled:
+                x -= bj * out[t - j]
+            out[t] = x if m is None else x % m
+        if hi < n:
+            bj = b0 * b[hi]
+            if bj == 1:
+                plus.append(hi)
+            elif bj == -1:
+                minus.append(hi)
+            else:
+                scaled.append((hi, bj))
+        lo = hi
+    return out

@@ -168,28 +168,22 @@ def _check_component(claim: CongruenceClaim, series: TruncatedSeries,
 
 def verify_mod7_family(upto: int = 300) -> list[ClaimReport]:
     """Verify all five built-in mod-7 congruences of the odd-colored family."""
-    reports = []
-    for k, r in MOD7_FAMILY_ROWS:
-        spec = ColoredFamilySpec(Family.ODD_COLORED, k)
-        claim = CongruenceClaim(spec, 7, r, ClaimSource.THEOREM)
-        reports.append(verify_claim(claim, upto))
-    return reports
+    return verify_mod7_lifts(0, upto)
 
 
 def verify_mod7_lifts(j_max: int, upto: int = 100) -> list[ClaimReport]:
     """Verify the lifted rows a_(7j+k)(7n+r) == 0 (mod 7) for j = 0..j_max.
 
-    The j = 0 rows coincide with verify_mod7_family output.
+    The j = 0 rows are the theorem rows of verify_mod7_family.
     """
     if j_max < 0:
         raise ValueError("j_max must be >= 0")
     reports = []
     for j in range(j_max + 1):
-        source = ClaimSource.THEOREM if j == 0 else ClaimSource.COROLLARY
         for k, r in MOD7_FAMILY_ROWS:
             spec = ColoredFamilySpec(Family.ODD_COLORED, 7 * j + k)
-            claim = CongruenceClaim(spec, 7, r, source)
-            reports.append(verify_claim(claim, upto))
+            source = _scan_source(spec.family, spec.colors, 7, r)
+            reports.append(verify_claim(CongruenceClaim(spec, 7, r, source), upto))
     return reports
 
 

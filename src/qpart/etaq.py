@@ -19,9 +19,11 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 from functools import lru_cache
-from operator import add, sub
+from math import isqrt
+from operator import add
 from typing import Mapping, Union
 
+from . import _kernels_py as kernels
 from .series import TruncatedSeries, _modulus_value
 
 
@@ -80,9 +82,6 @@ class EtaTerm:
              factors: Mapping[int, int] | None = None) -> "EtaTerm":
         items = tuple(sorted((k, e) for k, e in (factors or {}).items() if e))
         return cls(coefficient, q_shift, items)
-
-    def factor_map(self) -> dict[int, int]:
-        return dict(self.factors)
 
 
 @dataclass(frozen=True)
@@ -347,32 +346,33 @@ def _format_term(term: EtaTerm) -> str:
 # builders
 # ---------------------------------------------------------------------------
 
-_Support = tuple[tuple[int, int], ...]
+# eval_eta refuses an expansion whose passes would cost more than this
+# many coefficient additions (sum of |e| * order * nnz(fk) over factors).
+_MAX_EXPANSION_WORK = 10**8
 
 
 @lru_cache(maxsize=None)
-def _pochhammer_coeffs(k: int, order: int) -> _Support:
-    """Support of fk below the order: its (exponent, coefficient) pairs
-    with nonzero coefficient, in increasing exponent order, starting
-    with (0, 1).
+def _pochhammer_coeffs(k: int, order: int) -> tuple[int, ...]:
+    """Coefficients of fk below the order.
 
-    By Euler's pentagonal number theorem the exponents are
-    k*j*(3j-1)/2 and k*j*(3j+1)/2 for j >= 1, both with coefficient
-    (-1)^j; they are distinct and interleave in increasing order.
+    By Euler's pentagonal number theorem the nonzero ones sit at
+    k*j*(3j-1)/2 and k*j*(3j+1)/2 for j >= 0, both with coefficient
+    (-1)^j; there are O(sqrt(order/k)) of them.
     """
-    support = [(0, 1)]
+    c = [0] * order
+    c[0] = 1
     j = 1
     while True:
         e_pos = k * j * (3 * j - 1) // 2
         if e_pos >= order:
             break
         s = -1 if j & 1 else 1
-        support.append((e_pos, s))
+        c[e_pos] = s
         e_neg = e_pos + k * j
         if e_neg < order:
-            support.append((e_neg, s))
+            c[e_neg] = s
         j += 1
-    return tuple(support)
+    return tuple(c)
 
 
 def pochhammer_f(k: int, order: int) -> TruncatedSeries:
@@ -385,38 +385,7 @@ def pochhammer_f(k: int, order: int) -> TruncatedSeries:
         raise ValueError("scale k must be >= 1")
     if order < 1:
         raise ValueError("order must be >= 1")
-    c = [0] * order
-    for d, s in _pochhammer_coeffs(k, order):
-        c[d] = s
-    return TruncatedSeries(c)
-
-
-def _times_pochhammer(acc: list[int], support: _Support, m: int | None) -> list[int]:
-    """acc * fk through len(acc): one shifted add or subtract of acc per
-    nonzero exponent of fk."""
-    out = acc[:]
-    for d, s in support[1:]:
-        out[d:] = map(add if s > 0 else sub, out[d:], acc)
-    return out if m is None else [c % m for c in out]
-
-
-def _over_pochhammer(acc: list[int], support: _Support, m: int | None) -> list[int]:
-    """acc / fk through len(acc), by b[n] = acc[n] - sum_j s_j * b[n - d_j]
-    over the nonzero exponents d_j >= 1 of fk (whose constant term is 1).
-    With a modulus each b[n] is reduced as soon as it is known."""
-    b = acc[:]
-    rest = support[1:]
-    for n in range(1, len(b)):
-        t = b[n]
-        for d, s in rest:
-            if d > n:
-                break
-            if s > 0:
-                t -= b[n - d]
-            else:
-                t += b[n - d]
-        b[n] = t if m is None else t % m
-    return b
+    return TruncatedSeries(_pochhammer_coeffs(k, order))
 
 
 def eval_eta(expr: Union[EtaExpression, str], order: int,
@@ -424,13 +393,14 @@ def eval_eta(expr: Union[EtaExpression, str], order: int,
     """Expand an eta-quotient expression through the given order.
 
     A term c * q^s * prod fk^e is expanded through order N - s (N the
-    requested order), one factor at a time: |e| passes that multiply
-    or divide the running series by fk.  A pass uses only the nonzero
-    coefficients of fk, about 2*sqrt(2N/(3k)) of them, each +1 or -1:
-    multiplying adds and subtracts shifted copies of the series, and
-    dividing runs the recurrence b[n] = acc[n] - sum_j s_j * b[n - d_j].
-    So a pass costs about N * nnz(fk) integer additions and no
-    multiplications, and a term costs sum_k |e_k| passes.
+    requested order), one factor at a time: |e| passes of
+    `kernels.mul(fk, acc)` or `kernels.div(acc, fk)`.  Both kernels work
+    over the nonzero coefficients of fk only, about 2*sqrt(2N/(3k)) of
+    them, each +1 or -1, so a pass costs about N * nnz(fk) integer
+    additions and no multiplications, and a term costs sum_k |e_k|
+    passes.  An expression whose passes would cost more than
+    _MAX_EXPANSION_WORK additions is refused with ValueError before any
+    pass runs.
 
     With `modulus` set, every pass reduces into 0..modulus-1.  Nothing
     is divided by anything but fk's constant term 1, so this holds for
@@ -442,6 +412,15 @@ def eval_eta(expr: Union[EtaExpression, str], order: int,
     if order < 1:
         raise ValueError("order must be >= 1")
     m = None if modulus is None else _modulus_value(modulus)
+    work = 0
+    for term in expr.terms:
+        n = order - term.q_shift
+        if n > 0:  # |e| passes over fk's 1 + 2*isqrt(2n/(3k)) nonzero coefficients
+            work += n * sum(abs(e) * (1 + 2 * isqrt(2 * n // (3 * k)))
+                            for k, e in term.factors)
+    if work > _MAX_EXPANSION_WORK:
+        raise ValueError(f"expansion needs about {work} coefficient additions, "
+                         f"more than the limit of {_MAX_EXPANSION_WORK}")
     total = [0] * order
     for term in expr.terms:
         s = term.q_shift
@@ -451,12 +430,9 @@ def eval_eta(expr: Union[EtaExpression, str], order: int,
         n = order - s
         acc = [1] + [0] * (n - 1)
         for k, e in term.factors:
-            support = _pochhammer_coeffs(k, n)
-            if len(support) == 1:  # fk == 1 below order n
-                continue
-            step = _times_pochhammer if e > 0 else _over_pochhammer
+            fk = _pochhammer_coeffs(k, n)
             for _ in range(abs(e)):
-                acc = step(acc, support, m)
+                acc = kernels.mul(fk, acc, n, m) if e > 0 else kernels.div(acc, fk, n, m)
         total[s:] = map(add, total[s:], [c * x for x in acc])
     return TruncatedSeries(total if m is None else [x % m for x in total])
 

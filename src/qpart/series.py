@@ -67,16 +67,6 @@ class TruncatedSeries:
     def one(cls, order: int) -> "TruncatedSeries":
         return cls([1] + [0] * (order - 1))
 
-    @classmethod
-    def monomial(cls, exponent: int, order: int, coeff: int = 1) -> "TruncatedSeries":
-        """The series coeff * q^exponent (zero if exponent >= order)."""
-        if exponent < 0:
-            raise ValueError("exponent must be >= 0")
-        c = [0] * order
-        if exponent < order:
-            c[exponent] = coeff
-        return cls(c)
-
     # -- basic access ----------------------------------------------------
 
     @property
@@ -176,7 +166,7 @@ class TruncatedSeries:
             raise NonUnitConstantTermError(
                 f"cannot invert a series with constant term {self._coeffs[0]}"
             )
-        return TruncatedSeries(kernels.inv(self._coeffs, self.order))
+        return TruncatedSeries(kernels.div((1,), self._coeffs, self.order))
 
     def __pow__(self, exponent: int) -> "TruncatedSeries":
         if not isinstance(exponent, int):

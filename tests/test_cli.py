@@ -5,6 +5,7 @@ import io
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -64,6 +65,16 @@ def test_expand_mod_below_two_exits_2(capsys):
     assert code == 2
     assert out == ""
     assert "modulus" in err
+
+
+def test_expand_runaway_exponent_exits_2_promptly(capsys):
+    # 10**9 passes over f1 would run for hours; the work estimate refuses it
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, "expand", "f1^1000000000", "--order", "5")
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 2
+    assert out == ""
+    assert "limit" in err
 
 
 def test_expand_csv(capsys):
