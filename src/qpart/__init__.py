@@ -67,7 +67,7 @@ from .partitions import (
     enumerate_partitions,
     oracle_series,
 )
-from .series import Modulus, NonUnitConstantTermError, TruncatedSeries
+from .series import NonUnitConstantTermError, TruncatedSeries
 
 __version__ = "0.1.0"
 
@@ -81,7 +81,7 @@ __all__ = [
     "backend",
     "__version__",
     # series
-    "TruncatedSeries", "Modulus", "NonUnitConstantTermError",
+    "TruncatedSeries", "NonUnitConstantTermError",
     # etaq
     "pochhammer_f", "eval_eta", "parse_eta", "format_eta",
     "EtaExpression", "EtaTerm", "EtaSyntaxError", "ZeroScaleError",

@@ -2,8 +2,10 @@
 
 Subcommands: expand, count, enumerate, verify, scan.  Exit codes:
 0 = everything requested holds, 1 = a counterexample or mismatch was
-found, 2 = usage or parse error.  Output is deterministic; exact
-coefficients always print as full decimal strings.
+found, 2 = usage or parse error.  Each subcommand computes its answer
+once and hands it to `_emit`, the only code that prints an answer and
+the only code that knows the text, json and csv formats.  Output is
+deterministic; exact coefficients always print as full decimal strings.
 """
 
 from __future__ import annotations
@@ -12,14 +14,13 @@ import argparse
 import csv
 import json
 import sys
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .congruence import (
     CSV_COLUMNS,
     ClaimReport,
     ClaimSource,
     CongruenceClaim,
-    ProofTrace,
     UnsupportedFamilyError,
     dissection_rhs_text,
     replay_proof,
@@ -42,14 +43,21 @@ from .partitions import (
 _FIXTURES = {"theorem13": dissection_rhs_text}
 
 
-def _print_csv(header: list[str], rows: list[list[str]]) -> None:
-    writer = csv.writer(sys.stdout, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
+def _flag(value: bool) -> str:
+    return "true" if value else "false"
 
 
-def _print_json(obj) -> None:
-    print(json.dumps(obj, indent=2))
+def _emit(fmt: str, obj, header: list[str], rows: Iterable[Iterable[str]],
+          text: str) -> None:
+    """Print one answer: `obj` as JSON, `header` and `rows` as CSV, or `text`."""
+    if fmt == "json":
+        print(json.dumps(obj, indent=2))
+    elif fmt == "csv":
+        writer = csv.writer(sys.stdout, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+    else:
+        print(text)
 
 
 # ---------------------------------------------------------------------------
@@ -68,20 +76,14 @@ def cmd_expand(args: argparse.Namespace) -> int:
     series = eval_eta(parse_eta(text), args.order, modulus=args.mod)
     if args.support is not None:
         residues = sorted(series.support_residues(args.support))
-        if args.format == "json":
-            _print_json({"support_modulus": args.support, "support_residues": residues})
-        elif args.format == "csv":
-            _print_csv(["residue"], [[str(r)] for r in residues])
-        else:
-            print("{" + ",".join(str(r) for r in residues) + "}")
-        return 0
-    if args.format == "json":
-        _print_json({"order": series.order, "coefficients": [str(c) for c in series]})
-    elif args.format == "csv":
-        _print_csv(["n", "coefficient"],
-                   [[str(n), str(c)] for n, c in enumerate(series)])
+        _emit(args.format, {"support_modulus": args.support, "support_residues": residues},
+              ["residue"], ([str(r)] for r in residues),
+              "{" + ",".join(map(str, residues)) + "}")
     else:
-        print(" ".join(str(c) for c in series))
+        coeffs = [str(c) for c in series]
+        _emit(args.format, {"order": series.order, "coefficients": coeffs},
+              ["n", "coefficient"], ([str(n), c] for n, c in enumerate(coeffs)),
+              " ".join(coeffs))
     return 0
 
 
@@ -94,34 +96,21 @@ def _spec_from(args: argparse.Namespace) -> ColoredFamilySpec:
 
 
 def cmd_count(args: argparse.Namespace) -> int:
-    spec = _spec_from(args)
-    value = count(spec, args.n)
-    if args.format == "json":
-        _print_json({"family": args.family, "k": args.k, "n": args.n,
-                     "count": str(value)})
-    elif args.format == "csv":
-        _print_csv(["family", "k", "n", "count"],
-                   [[args.family, str(args.k), str(args.n), str(value)]])
-    else:
-        print(value)
+    value = str(count(_spec_from(args), args.n))
+    _emit(args.format, {"family": args.family, "k": args.k, "n": args.n, "count": value},
+          ["family", "k", "n", "count"], [[args.family, str(args.k), str(args.n), value]],
+          value)
     return 0
 
 
 def cmd_enumerate(args: argparse.Namespace) -> int:
-    spec = _spec_from(args)
-    partitions = enumerate_partitions(spec, args.n, cap=args.cap)
-    if args.format == "json":
-        _print_json({
-            "family": args.family, "k": args.k, "n": args.n,
-            "count": len(partitions),
-            "partitions": [[[w, c] for w, c in p.parts] for p in partitions],
-        })
-    elif args.format == "csv":
-        _print_csv(["index", "partition"],
-                   [[str(i), str(p)] for i, p in enumerate(partitions)])
-    else:
-        for p in partitions:
-            print(p)
+    partitions = enumerate_partitions(_spec_from(args), args.n, cap=args.cap)
+    lines = [str(p) for p in partitions]
+    _emit(args.format,
+          {"family": args.family, "k": args.k, "n": args.n, "count": len(partitions),
+           "partitions": [[[w, c] for w, c in p.parts] for p in partitions]},
+          ["index", "partition"], ([str(i), line] for i, line in enumerate(lines)),
+          "\n".join(lines))
     return 0
 
 
@@ -139,108 +128,68 @@ def _claim_line(report: ClaimReport) -> str:
     return f"{claim.describe()}: {status} [{claim.source.value}]"
 
 
-def _emit_reports(reports: list[ClaimReport], fmt: str) -> None:
-    if fmt == "json":
-        _print_json([r.to_json_obj() for r in reports])
-    elif fmt == "csv":
-        _print_csv(CSV_COLUMNS, [r.csv_row() for r in reports])
-    else:
-        for r in reports:
-            print(_claim_line(r))
-
-
-def _reports_exit(reports: list[ClaimReport], paper_only: bool = False) -> int:
-    for r in reports:
-        if paper_only and r.claim.source is ClaimSource.CANDIDATE:
-            continue
-        if not r.holds:
-            return 1
-    return 0
+def _emit_reports(reports: list[ClaimReport], fmt: str, paper_only: bool = False) -> int:
+    """Print the reports; exit 1 if one fails (with `paper_only`, one
+    that is not a candidate), else 0."""
+    _emit(fmt, [r.to_json_obj() for r in reports], CSV_COLUMNS,
+          (r.csv_row() for r in reports), "\n".join(map(_claim_line, reports)))
+    return int(any(not r.holds for r in reports
+                   if not (paper_only and r.claim.source is ClaimSource.CANDIDATE)))
 
 
 def cmd_verify_claim(args: argparse.Namespace) -> int:
     claim = CongruenceClaim(_spec_from(args), args.mod, args.residue)
-    report = verify_claim(claim, args.upto)
-    _emit_reports([report], args.format)
-    return _reports_exit([report])
+    return _emit_reports([verify_claim(claim, args.upto)], args.format)
 
 
 def cmd_verify_theorem14(args: argparse.Namespace) -> int:
-    reports = verify_mod7_family(args.upto)
-    _emit_reports(reports, args.format)
-    return _reports_exit(reports)
+    return _emit_reports(verify_mod7_family(args.upto), args.format)
 
 
 def cmd_verify_corollary(args: argparse.Namespace) -> int:
-    reports = verify_mod7_lifts(args.jmax, args.upto)
-    _emit_reports(reports, args.format)
-    return _reports_exit(reports)
+    return _emit_reports(verify_mod7_lifts(args.jmax, args.upto), args.format)
 
 
 def cmd_verify_dissection(args: argparse.Namespace) -> int:
     report = verify_dissection_identity(args.upto)
-    if args.format == "json":
-        _print_json({"checked_up_to": report.checked_up_to,
-                     "equal": report.equal,
-                     "first_mismatch": report.first_mismatch})
-    elif args.format == "csv":
-        _print_csv(["checked_upto", "equal", "first_mismatch"],
-                   [[str(report.checked_up_to),
-                     "true" if report.equal else "false",
-                     "" if report.first_mismatch is None else str(report.first_mismatch)]])
-    elif report.equal:
-        print(f"7-dissection identity: exact match through order {report.checked_up_to}")
-    else:
-        print(f"7-dissection identity: MISMATCH at n={report.first_mismatch}")
+    upto, mismatch = report.checked_up_to, report.first_mismatch
+    _emit(args.format,
+          {"checked_up_to": upto, "equal": report.equal, "first_mismatch": mismatch},
+          ["checked_upto", "equal", "first_mismatch"],
+          [[str(upto), _flag(report.equal), "" if mismatch is None else str(mismatch)]],
+          f"7-dissection identity: exact match through order {upto}" if report.equal
+          else f"7-dissection identity: MISMATCH at n={mismatch}")
     return 0 if report.equal else 1
 
 
 def cmd_verify_frobenius(args: argparse.Namespace) -> int:
-    holds = verify_frobenius(args.a, args.b, args.p, args.order)
-    rhs = f"f{args.a * args.p}" + (f"^{args.b}" if args.b != 1 else "")
-    statement = f"f{args.a}^{args.b * args.p} == {rhs} (mod {args.p})"
-    if args.format == "json":
-        _print_json({"a": args.a, "b": args.b, "p": args.p,
-                     "order": args.order, "holds": holds})
-    elif args.format == "csv":
-        _print_csv(["a", "b", "p", "order", "holds"],
-                   [[str(args.a), str(args.b), str(args.p), str(args.order),
-                     "true" if holds else "false"]])
-    elif holds:
-        print(f"{statement}: holds through order {args.order}")
-    else:
-        print(f"{statement}: FAILS within order {args.order}")
+    a, b, p, order = args.a, args.b, args.p, args.order
+    holds = verify_frobenius(a, b, p, order)
+    rhs = f"f{a * p}" + (f"^{b}" if b != 1 else "")
+    verdict = "holds through" if holds else "FAILS within"
+    _emit(args.format, {"a": a, "b": b, "p": p, "order": order, "holds": holds},
+          ["a", "b", "p", "order", "holds"],
+          [[str(a), str(b), str(p), str(order), _flag(holds)]],
+          f"f{a}^{b * p} == {rhs} (mod {p}): {verdict} order {order}")
     return 0 if holds else 1
-
-
-def _trace_json(trace: ProofTrace) -> dict:
-    return {
-        "k": trace.k,
-        "residue": trace.residue,
-        "scale": trace.scale,
-        "target": trace.target,
-        "component_supports": [sorted(s) for s in trace.component_supports],
-        "sumset": sorted(trace.sumset),
-        "verified": trace.verified,
-        "steps": [{"name": s.name, "verified": s.verified, "detail": s.detail}
-                  for s in trace.steps],
-    }
 
 
 def cmd_verify_proof(args: argparse.Namespace) -> int:
     trace = replay_proof(args.k, args.order)
-    if args.format == "json":
-        _print_json(_trace_json(trace))
-    elif args.format == "csv":
-        _print_csv(["step", "verified", "detail"],
-                   [[s.name, "true" if s.verified else "false", s.detail]
-                    for s in trace.steps])
-    else:
-        verdict = "VERIFIED" if trace.verified else "FAILED"
-        print(f"proof replay for a_{trace.k}(7n+{trace.residue}) == 0 (mod 7): {verdict}")
-        for s in trace.steps:
-            mark = "ok" if s.verified else "FAIL"
-            print(f"  [{mark}] {s.name}: {s.detail}")
+    steps = trace.steps
+    lines = [f"proof replay for a_{trace.k}(7n+{trace.residue}) == 0 (mod 7): "
+             + ("VERIFIED" if trace.verified else "FAILED")]
+    lines += [f"  [{'ok' if s.verified else 'FAIL'}] {s.name}: {s.detail}" for s in steps]
+    _emit(args.format,
+          {"k": trace.k, "residue": trace.residue, "scale": trace.scale,
+           "target": trace.target,
+           "component_supports": [sorted(s) for s in trace.component_supports],
+           "sumset": sorted(trace.sumset), "verified": trace.verified,
+           "steps": [{"name": s.name, "verified": s.verified, "detail": s.detail}
+                     for s in steps]},
+          ["step", "verified", "detail"],
+          ([s.name, _flag(s.verified), s.detail] for s in steps),
+          "\n".join(lines))
     return 0 if trace.verified else 1
 
 
@@ -253,8 +202,7 @@ def cmd_scan(args: argparse.Namespace) -> int:
         raise ValueError("--kmax must be >= 1")
     reports = scan(range(1, args.kmax + 1), args.mod, args.upto,
                    family=Family(args.family), modular=args.modular)
-    _emit_reports(reports, args.format)
-    return _reports_exit(reports, paper_only=True)
+    return _emit_reports(reports, args.format, paper_only=True)
 
 
 # ---------------------------------------------------------------------------

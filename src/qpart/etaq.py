@@ -169,14 +169,8 @@ def _divide(x: _Mono, d: _Mono, pos: int) -> _Mono:
     if x.coeff % d.coeff:
         raise EtaSyntaxError(
             f"coefficient {x.coeff} is not divisible by {d.coeff}", pos)
-    f = dict(x.factors)
-    for k, e in d.factors.items():
-        ne = f.get(k, 0) - e
-        if ne:
-            f[k] = ne
-        else:
-            f.pop(k, None)
-    return _Mono(x.coeff // d.coeff, x.shift - d.shift, f, x.start)
+    return _combine(_Mono(x.coeff // d.coeff, x.shift, x.factors, x.start),
+                    _Mono(1, -d.shift, {k: -e for k, e in d.factors.items()}))
 
 
 class _Parser:
@@ -346,8 +340,9 @@ def _format_term(term: EtaTerm) -> str:
 # builders
 # ---------------------------------------------------------------------------
 
-# eval_eta refuses an expansion whose passes would cost more than this
-# many coefficient additions (sum of |e| * order * nnz(fk) over factors).
+# eval_eta refuses an expansion that would cost more than this many
+# coefficient additions: one per output coefficient, one per coefficient
+# a term adds into the output, and |e| * order * nnz(fk) per factor.
 _MAX_EXPANSION_WORK = 10**8
 
 
@@ -398,9 +393,9 @@ def eval_eta(expr: Union[EtaExpression, str], order: int,
     over the nonzero coefficients of fk only, about 2*sqrt(2N/(3k)) of
     them, each +1 or -1, so a pass costs about N * nnz(fk) integer
     additions and no multiplications, and a term costs sum_k |e_k|
-    passes.  An expression whose passes would cost more than
-    _MAX_EXPANSION_WORK additions is refused with ValueError before any
-    pass runs.
+    passes.  An expression whose output and passes would cost more than
+    _MAX_EXPANSION_WORK additions is refused with ValueError before
+    anything is allocated.
 
     With `modulus` set, every pass reduces into 0..modulus-1.  Nothing
     is divided by anything but fk's constant term 1, so this holds for
@@ -412,12 +407,12 @@ def eval_eta(expr: Union[EtaExpression, str], order: int,
     if order < 1:
         raise ValueError("order must be >= 1")
     m = None if modulus is None else _modulus_value(modulus)
-    work = 0
+    work = order  # the output list
     for term in expr.terms:
         n = order - term.q_shift
-        if n > 0:  # |e| passes over fk's 1 + 2*isqrt(2n/(3k)) nonzero coefficients
-            work += n * sum(abs(e) * (1 + 2 * isqrt(2 * n // (3 * k)))
-                            for k, e in term.factors)
+        if n > 0:  # n to accumulate, |e| passes over fk's 1 + 2*isqrt(2n/(3k)) nonzeros
+            work += n * (1 + sum(abs(e) * (1 + 2 * isqrt(2 * n // (3 * k)))
+                                 for k, e in term.factors))
     if work > _MAX_EXPANSION_WORK:
         raise ValueError(f"expansion needs about {work} coefficient additions, "
                          f"more than the limit of {_MAX_EXPANSION_WORK}")

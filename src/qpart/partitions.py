@@ -83,12 +83,23 @@ class ColoredPartition:
         return "(" + ",".join(rendered) + ")"
 
 
+# _count_table refuses a table that would take more than this many
+# additions, as eval_eta refuses an expansion.
+_MAX_DP_WORK = 10**8
+
+
 def _count_table(spec: ColoredFamilySpec, order: int) -> list[int]:
     """dp[n] = number of colored partitions of n, for n < order.
 
     Unbounded-knapsack update applied once per color of each weight;
-    O(order^2 * colors) additions of exact integers.
+    sum_w colors(w) * (order - w), about order^2 * (colors + 1) / 4,
+    additions of exact integers.  Above _MAX_DP_WORK the table is
+    refused with ValueError before it is allocated.
     """
+    work = order * order * (spec.colors + 1) // 4
+    if work > _MAX_DP_WORK:
+        raise ValueError(f"counting needs about {work} additions, "
+                         f"more than the limit of {_MAX_DP_WORK}")
     dp = [0] * order
     dp[0] = 1
     for weight in range(1, order):

@@ -9,7 +9,6 @@ data.  Values are immutable; every operation returns a new series.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Iterator, Union
 
 from . import _kernels_py as kernels
@@ -19,24 +18,7 @@ class NonUnitConstantTermError(ValueError):
     """Inversion requires a constant term of +1 or -1."""
 
 
-@dataclass(frozen=True)
-class Modulus:
-    """A reduction modulus m >= 2."""
-
-    value: int
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.value, int) or self.value < 2:
-            raise ValueError(f"modulus must be an integer >= 2, got {self.value!r}")
-
-    def __int__(self) -> int:
-        return self.value
-
-
-ModulusLike = Union[int, Modulus]
-
-
-def _modulus_value(m: ModulusLike) -> int:
+def _modulus_value(m: int) -> int:
     m = int(m)
     if m < 2:
         raise ValueError(f"modulus must be >= 2, got {m}")
@@ -215,7 +197,7 @@ class TruncatedSeries:
             raise ValueError(f"cannot truncate order {self.order} to {order}")
         return TruncatedSeries(self._coeffs[:order])
 
-    def reduce_mod(self, m: ModulusLike) -> "TruncatedSeries":
+    def reduce_mod(self, m: int) -> "TruncatedSeries":
         """Each coefficient replaced by its least nonnegative residue mod m."""
         mv = _modulus_value(m)
         return TruncatedSeries([c % mv for c in self._coeffs])

@@ -77,6 +77,21 @@ def test_expand_runaway_exponent_exits_2_promptly(capsys):
     assert "limit" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("expand", "1", "--order", "1000000000"),
+    ("expand", "q^2000000000", "--order", "1000000000"),
+    ("count", "a", "1", "1000000000"),
+])
+def test_huge_table_exits_2_promptly(capsys, argv):
+    # each would first allocate a list of 10**9 integers, about 8 GB
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 2
+    assert out == ""
+    assert "limit" in err
+
+
 def test_expand_csv(capsys):
     code, out, _ = run(capsys, "expand", "f1", "--order", "3", "--format", "csv")
     assert code == 0
@@ -235,6 +250,73 @@ def test_scan_candidates_do_not_flip_exit_code(capsys):
     code, out, _ = run(capsys, "scan", "--kmax", "2", "--mod", "7", "--upto", "50")
     assert code == 0
     assert "[candidate]" in out
+
+
+# -- exact output in every format ------------------------------------------------
+
+_CLAIM_JSON = """[
+  {{
+    "family": "a",
+    "k": {k},
+    "modulus": 7,
+    "residue": {r},
+    "checked_up_to": {upto},
+    "holds": {holds},
+    "counterexample": {ce},
+    "source": "candidate"
+  }}
+]
+"""
+_FAILS_AT_0 = """{
+      "n": 0,
+      "value": "1"
+    }"""
+_HOLDS = ("verify", "claim", "--k", "3", "--mod", "7", "--residue", "2", "--upto", "30")
+_FAILS = ("verify", "claim", "--k", "1", "--mod", "7", "--residue", "0", "--upto", "10")
+_FROBENIUS = ("verify", "frobenius", "--a", "2", "--b", "1", "--p", "7", "--order", "50")
+_PROOF = ("verify", "proof", "--k", "1", "--order", "100")
+_SUPPORT = ("expand", "f1^3", "--order", "100", "--mod", "7", "--support", "7")
+
+
+@pytest.mark.parametrize("argv, code, expected", [
+    (("count", "a", "3", "3", "--format", "json"), 0,
+     '{\n  "family": "a",\n  "k": 3,\n  "n": 3,\n  "count": "16"\n}\n'),
+    (("count", "a", "3", "3", "--format", "csv"), 0, "family,k,n,count\na,3,3,16\n"),
+    (("enumerate", "a", "2", "2", "--format", "csv"), 0,
+     'index,partition\n0,(2)\n1,"(1_2,1_2)"\n2,"(1_2,1_1)"\n3,"(1_1,1_1)"\n'),
+    (_HOLDS + ("--format", "json"), 0,
+     _CLAIM_JSON.format(k=3, r=2, upto=30, holds="true", ce="null")),
+    (_HOLDS + ("--format", "csv"), 0,
+     "family,k,modulus,residue,checked_upto,holds,source\na,3,7,2,30,true,candidate\n"),
+    (_FAILS + ("--format", "json"), 1,
+     _CLAIM_JSON.format(k=1, r=0, upto=10, holds="false", ce=_FAILS_AT_0)),
+    (_FAILS + ("--format", "csv"), 1,
+     "family,k,modulus,residue,checked_upto,holds,source\na,1,7,0,10,false,candidate\n"),
+    (("verify", "dissection", "--upto", "5", "--format", "json"), 0,
+     '{\n  "checked_up_to": 5,\n  "equal": true,\n  "first_mismatch": null\n}\n'),
+    (("verify", "dissection", "--upto", "5", "--format", "csv"), 0,
+     "checked_upto,equal,first_mismatch\n5,true,\n"),
+    (_FROBENIUS + ("--format", "json"), 0,
+     '{\n  "a": 2,\n  "b": 1,\n  "p": 7,\n  "order": 50,\n  "holds": true\n}\n'),
+    (_FROBENIUS + ("--format", "csv"), 0, "a,b,p,order,holds\n2,1,7,50,true\n"),
+    (_PROOF + ("--format", "csv"), 0,
+     "step,verified,detail\n"
+     "frobenius-rewrite,true,f1^7 == f7 (mod 7) turns the series into f1^6/f7\n"
+     'theta-substitution,true,"f1^6 equals the product of jacobi-cube, jacobi-cube"\n'
+     'residue-exclusion,true,"supports [[0, 1, 3], [0, 1, 3]] produce sumset '
+     '[0, 1, 2, 3, 4, 6], which misses the target class 5 (mod 7)"\n'),
+    (_PROOF + ("--format", "text"), 0,
+     "proof replay for a_1(7n+5) == 0 (mod 7): VERIFIED\n"
+     "  [ok] frobenius-rewrite: f1^7 == f7 (mod 7) turns the series into f1^6/f7\n"
+     "  [ok] theta-substitution: f1^6 equals the product of jacobi-cube, jacobi-cube\n"
+     "  [ok] residue-exclusion: supports [[0, 1, 3], [0, 1, 3]] produce sumset "
+     "[0, 1, 2, 3, 4, 6], which misses the target class 5 (mod 7)\n"),
+    (_SUPPORT + ("--format", "json"), 0,
+     '{\n  "support_modulus": 7,\n  "support_residues": [\n    0,\n    1,\n    3\n  ]\n}\n'),
+    (_SUPPORT + ("--format", "csv"), 0, "residue\n0\n1\n3\n"),
+])
+def test_exact_output(capsys, argv, code, expected):
+    assert run(capsys, *argv)[:2] == (code, expected)
 
 
 # -- determinism and process-level behavior ------------------------------------
