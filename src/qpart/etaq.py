@@ -108,6 +108,9 @@ class EtaExpression:
 # ---------------------------------------------------------------------------
 
 _FACTOR_EXPECTED = frozenset({"integer", "'q'", "'f'", "'('"})
+# Each open parenthesis costs three stack frames of the recursive descent;
+# 100 levels stay well inside the interpreter's default recursion limit.
+_MAX_NESTING = 100
 
 
 @dataclass(frozen=True)
@@ -126,11 +129,15 @@ def _tokenize(text: str) -> list[_Token]:
         if ch.isspace():
             i += 1
             continue
-        if ch.isdigit():
+        if ch in "0123456789":  # ASCII only: str.isdigit also takes superscripts
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and text[j] in "0123456789":
                 j += 1
-            tokens.append(_Token("int", text[i:j], i, int(text[i:j])))
+            try:
+                value = int(text[i:j])
+            except ValueError:  # longer than int() converts (sys.set_int_max_str_digits)
+                raise EtaSyntaxError(f"integer of {j - i} digits is too long", i) from None
+            tokens.append(_Token("int", text[i:j], i, value))
             i = j
             continue
         if ch in "qf()+-*/^":
@@ -177,6 +184,7 @@ class _Parser:
     def __init__(self, text: str):
         self.tokens = _tokenize(text)
         self.i = 0
+        self.depth = 0
 
     def _peek(self) -> _Token:
         return self.tokens[self.i]
@@ -261,12 +269,17 @@ class _Parser:
             return [_Mono(1, 0, {scale_tok.value: e} if e else {}, term_start)]
         if tok.kind == "sym" and tok.text == "(":
             self._take()
+            self.depth += 1
+            if self.depth > _MAX_NESTING:
+                raise EtaSyntaxError(
+                    f"parentheses nested more than {_MAX_NESTING} deep", tok.pos)
             monos = self._expr()
             closing = self._peek()
             if not self._at_sym(")"):
                 raise EtaSyntaxError("unbalanced parenthesis", closing.pos,
                                      frozenset({"')'"}))
             self._take()
+            self.depth -= 1
             for m in monos:
                 m.start = term_start
             return monos
@@ -346,6 +359,23 @@ def _format_term(term: EtaTerm) -> str:
 _MAX_EXPANSION_WORK = 10**8
 
 
+def _expansion_work(expr: EtaExpression, order: int) -> int:
+    """Coefficient additions eval_eta spends on expr through the order."""
+    work = order  # the output list
+    for term in expr.terms:
+        n = order - term.q_shift
+        if n > 0:  # n to accumulate, |e| passes over fk's 1 + 2*isqrt(2n/(3k)) nonzeros
+            work += n * (1 + sum(abs(e) * (1 + 2 * isqrt(2 * n // (3 * k)))
+                                 for k, e in term.factors))
+    return work
+
+
+def _refuse_above_limit(work: int) -> None:
+    if work > _MAX_EXPANSION_WORK:
+        raise ValueError(f"expansion needs about {work} coefficient additions, "
+                         f"more than the limit of {_MAX_EXPANSION_WORK}")
+
+
 @lru_cache(maxsize=None)
 def _pochhammer_coeffs(k: int, order: int) -> tuple[int, ...]:
     """Coefficients of fk below the order.
@@ -407,15 +437,7 @@ def eval_eta(expr: Union[EtaExpression, str], order: int,
     if order < 1:
         raise ValueError("order must be >= 1")
     m = None if modulus is None else _modulus_value(modulus)
-    work = order  # the output list
-    for term in expr.terms:
-        n = order - term.q_shift
-        if n > 0:  # n to accumulate, |e| passes over fk's 1 + 2*isqrt(2n/(3k)) nonzeros
-            work += n * (1 + sum(abs(e) * (1 + 2 * isqrt(2 * n // (3 * k)))
-                                 for k, e in term.factors))
-    if work > _MAX_EXPANSION_WORK:
-        raise ValueError(f"expansion needs about {work} coefficient additions, "
-                         f"more than the limit of {_MAX_EXPANSION_WORK}")
+    _refuse_above_limit(_expansion_work(expr, order))
     total = [0] * order
     for term in expr.terms:
         s = term.q_shift

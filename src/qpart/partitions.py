@@ -69,6 +69,15 @@ class ColoredPartition:
                 raise ValueError("parts must be in descending order")
             prev = (w, c)
 
+    @classmethod
+    def _trusted(cls, spec: ColoredFamilySpec,
+                 parts: tuple[tuple[int, int], ...]) -> "ColoredPartition":
+        """A partition whose parts the caller built valid and in order,
+        constructed without the validation of __post_init__."""
+        self = object.__new__(cls)
+        self.__dict__.update(spec=spec, parts=parts)
+        return self
+
     @property
     def weight(self) -> int:
         return sum(w for w, _ in self.parts)
@@ -86,6 +95,9 @@ class ColoredPartition:
 # _count_table refuses a table that would take more than this many
 # additions, as eval_eta refuses an expansion.
 _MAX_DP_WORK = 10**8
+# enumerate_partitions refuses to list more partitions than this; a
+# listing takes about 450 bytes per partition at n = 25.
+_MAX_LISTING = 10**6
 
 
 def _count_table(spec: ColoredFamilySpec, order: int) -> list[int]:
@@ -129,22 +141,28 @@ def enumerate_partitions(spec: ColoredFamilySpec, n: int,
     by the colored-part order (so the listing starts at the largest
     part with the highest color).
 
-    Raises CapExceededError for n beyond `cap`: past that point the
-    caller almost certainly wanted count(), not a listing.
+    Raises CapExceededError for n beyond `cap`, or when there are more
+    than _MAX_LISTING partitions of n: past either point the caller
+    almost certainly wanted count(), not a listing.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
     if n > cap:
         raise CapExceededError(f"n={n} exceeds the enumeration cap {cap}")
+    total = count(spec, n)
+    if total > _MAX_LISTING:
+        raise CapExceededError(f"{spec.label} has {total} partitions of {n}, more than "
+                               f"the listing limit of {_MAX_LISTING}; count them instead")
     if n == 0:
         return [ColoredPartition(spec, ())]
 
     out: list[ColoredPartition] = []
     acc: list[tuple[int, int]] = []
+    trusted = ColoredPartition._trusted
 
     def descend(remaining: int, max_weight: int, max_color: int) -> None:
         if remaining == 0:
-            out.append(ColoredPartition(spec, tuple(acc)))
+            out.append(trusted(spec, tuple(acc)))
             return
         for w in range(min(remaining, max_weight), 0, -1):
             top = spec.color_count(w)

@@ -9,6 +9,7 @@ data.  Values are immutable; every operation returns a new series.
 
 from __future__ import annotations
 
+from operator import index
 from typing import Iterable, Iterator, Union
 
 from . import _kernels_py as kernels
@@ -19,7 +20,9 @@ class NonUnitConstantTermError(ValueError):
 
 
 def _modulus_value(m: int) -> int:
-    m = int(m)
+    """m as an int >= 2; TypeError for a float or a string, which int()
+    would truncate or parse, ValueError below 2 (True and False included)."""
+    m = index(m)
     if m < 2:
         raise ValueError(f"modulus must be >= 2, got {m}")
     return m

@@ -6,6 +6,7 @@ import json
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -92,6 +93,16 @@ def test_huge_table_exits_2_promptly(capsys, argv):
     assert "limit" in err
 
 
+def test_oversized_sweep_exits_2_promptly(capsys):
+    # a chain through a million color counts at order 357
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, "scan", "--kmax", "1000000", "--upto", "50")
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 2
+    assert out == ""
+    assert "limit" in err
+
+
 def test_expand_csv(capsys):
     code, out, _ = run(capsys, "expand", "f1", "--order", "3", "--format", "csv")
     assert code == 0
@@ -138,6 +149,16 @@ def test_enumerate_text(capsys):
 
 def test_enumerate_cap_exit_2(capsys):
     assert run(capsys, "enumerate", "a", "2", "50")[0] == 2
+
+
+def test_enumerate_listing_limit_exits_2_promptly(capsys):
+    # 190569292 partitions of 100, far too many objects to build
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, "enumerate", "a", "1", "100", "--cap", "100")
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 2
+    assert out == ""
+    assert "190569292" in err and "limit" in err
 
 
 def test_enumerate_json_count_matches(capsys):
@@ -317,6 +338,24 @@ _SUPPORT = ("expand", "f1^3", "--order", "100", "--mod", "7", "--support", "7")
 ])
 def test_exact_output(capsys, argv, code, expected):
     assert run(capsys, *argv)[:2] == (code, expected)
+
+
+# Outputs of the family verifiers, recorded from expanding every color
+# count on its own; the family sweep must reproduce them byte for byte.
+_PINNED = Path(__file__).parent / "data" / "pinned"
+_FAMILY_RUNS = {
+    "theorem14": ("verify", "theorem14", "--upto", "40"),
+    "corollary": ("verify", "corollary", "--jmax", "1", "--upto", "40"),
+    "scan-b-mod13": ("scan", "--kmax", "4", "--mod", "13", "--upto", "50",
+                     "--family", "b", "--modular"),
+}
+
+
+@pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+@pytest.mark.parametrize("name", sorted(_FAMILY_RUNS))
+def test_family_output_matches_pin(capsys, name, fmt):
+    expected = (_PINNED / f"{name}.{fmt}").read_text()
+    assert run(capsys, *_FAMILY_RUNS[name], "--format", fmt)[:2] == (0, expected)
 
 
 # -- determinism and process-level behavior ------------------------------------

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from qpart import congruence
 from qpart.congruence import (
     MOD7_FAMILY_ROWS,
     ClaimSource,
@@ -258,6 +259,16 @@ def test_scan_modular_agrees_with_exact():
     fast = scan(range(1, 5), 7, 50, modular=True)
     assert [(r.claim.spec.colors, r.claim.residue, r.holds) for r in exact] == \
         [(r.claim.spec.colors, r.claim.residue, r.holds) for r in fast]
+
+
+def test_oversized_sweep_refused_before_any_expansion(monkeypatch):
+    def no_expansion(*args, **kwargs):
+        raise AssertionError("the sweep started expanding before its estimate")
+    monkeypatch.setattr(congruence, "eval_eta", no_expansion)
+    with pytest.raises(ValueError, match="limit"):
+        next(congruence._family_sweep(Family.ODD_COLORED, range(1, 10**6), 400))
+    with pytest.raises(ValueError, match="limit"):
+        scan(range(1, 10**5), 7, 50, family=Family.EVEN_COLORED, modular=True)
 
 
 def test_scan_range_floor():

@@ -4,8 +4,10 @@ Random bounded eta expressions (1-3 terms, scales 1-6, exponents
 -6..6, q-shifts 0-5, coefficients -9..9, orders 1-120) are expanded by
 `eval_eta` and compared with a dense reference product built only from
 `oracles.py`, with the exact expansion reduced mod m, and, for the
-colored families, with the partition DP.  Examples are derandomized and
-capped, so every run checks the same inputs.
+colored families, with the partition DP.  The family sweep, which steps
+from one color count to the next, is compared with `eval_eta` for every
+k it yields, and the parser is fed generated garbage.  Examples are
+derandomized and capped, so every run checks the same inputs.
 """
 
 from functools import lru_cache
@@ -13,8 +15,16 @@ from functools import lru_cache
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qpart.congruence import family_expression
-from qpart.etaq import EtaExpression, EtaTerm, eval_eta, pochhammer_f
+from qpart.congruence import _family_sweep, family_expression
+from qpart.etaq import (
+    EtaExpression,
+    EtaSyntaxError,
+    EtaTerm,
+    ZeroScaleError,
+    eval_eta,
+    parse_eta,
+    pochhammer_f,
+)
 from qpart.partitions import ColoredFamilySpec, Family, oracle_series
 
 from oracles import pochhammer_by_product, poly_inv, poly_mul
@@ -92,3 +102,34 @@ def test_modular_lane_matches_reduced_exact(expr, order, m):
 def test_family_expression_matches_partition_dp(family, k, order):
     spec = ColoredFamilySpec(family, k)
     assert eval_eta(family_expression(spec), order) == oracle_series(spec, order)
+
+
+@checked
+@given(family=st.sampled_from(Family), ks=st.lists(st.integers(1, 12), min_size=1, max_size=6),
+       order=orders, m=st.sampled_from((None, 2, 7, 13)))
+@example(family=Family.ODD_COLORED, ks=[9, 2, 9, 4], order=120, m=None)
+@example(family=Family.EVEN_COLORED, ks=[12, 1, 5, 5], order=97, m=7)
+def test_family_sweep_matches_eval_eta(family, ks, order, m):
+    swept = list(_family_sweep(family, ks, order, m))
+    assert [k for k, _ in swept] == sorted(set(ks))
+    for k, series in swept:
+        expr = family_expression(ColoredFamilySpec(family, k))
+        assert series == eval_eta(expr, order, modulus=m)
+
+
+# Mostly characters of the grammar, so that garbage gets past the
+# tokenizer and reaches the parser; sometimes any text at all.
+garbage = st.one_of(st.text(alphabet="qf()+-*/^0123456789 ", max_size=40),
+                    st.text(max_size=20))
+
+
+@checked
+@given(text=garbage)
+@example(text="f\u00b2")  # '²' is a digit to str.isdigit, not to int()
+@example(text="f1^" + "9" * 5000)  # more digits than int() converts
+@example(text="(" * 1000 + "1" + ")" * 1000)  # deeper than the interpreter's stack
+def test_parser_raises_only_grammar_errors(text):
+    try:
+        parse_eta(text)
+    except (EtaSyntaxError, ZeroScaleError):
+        pass

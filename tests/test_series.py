@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from qpart.etaq import eval_eta
 from qpart.series import NonUnitConstantTermError, TruncatedSeries
 
 from oracles import poly_inv
@@ -54,6 +55,15 @@ def test_index_outside_stored_range():
 def test_modulus_validation():
     with pytest.raises(ValueError):
         S(1, 2).reduce_mod(1)
+
+
+@pytest.mark.parametrize("m, error", [(7.9, TypeError), (7.5, TypeError), ("7", TypeError),
+                                      (True, ValueError)])
+def test_non_integer_modulus_refused(m, error):
+    with pytest.raises(error):
+        S(8, 15).reduce_mod(m)
+    with pytest.raises(error):
+        eval_eta("f1", 5, modulus=m)
 
 
 # -- add / mul ---------------------------------------------------------------
