@@ -19,6 +19,8 @@ reducing.  Beyond single claims this module knows:
 from __future__ import annotations
 
 import enum
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
@@ -29,6 +31,7 @@ from .etaq import (
     EtaExpression,
     EtaTerm,
     ThetaFamily,
+    _MAX_EXPANSION_WORK,
     _expansion_work,
     _pochhammer_coeffs,
     _refuse_above_limit,
@@ -38,7 +41,7 @@ from .etaq import (
     theta_support_mod,
 )
 from .partitions import ColoredFamilySpec, Family
-from .series import TruncatedSeries, _modulus_value
+from .series import TruncatedSeries, _int_value, _modulus_value
 
 
 class UnsupportedFamilyError(ValueError):
@@ -61,11 +64,15 @@ class CongruenceClaim:
     source: ClaimSource = ClaimSource.CANDIDATE
 
     def __post_init__(self) -> None:
-        if self.modulus < 2:
+        modulus = _int_value(self.modulus, "modulus")
+        residue = _int_value(self.residue, "residue")
+        if modulus < 2:
             raise ValueError("modulus must be >= 2")
-        if not 0 <= self.residue < self.modulus:
+        if not 0 <= residue < modulus:
             raise ValueError(
-                f"residue must satisfy 0 <= r < {self.modulus}, got {self.residue}")
+                f"residue must satisfy 0 <= r < {modulus}, got {residue}")
+        object.__setattr__(self, "modulus", modulus)
+        object.__setattr__(self, "residue", residue)
 
     def describe(self) -> str:
         return (f"{self.spec.label}({self.modulus}n+{self.residue})"
@@ -143,23 +150,92 @@ def family_expression(spec: ColoredFamilySpec) -> EtaExpression:
     return EtaExpression.single(1, 0, {1: -1, 2: -(k - 1)})
 
 
+class _SweepMemo:
+    """The series family sweeps have yielded, keyed by (family, k, lane),
+    the lane being the modulus or None for exact.  Each key keeps its
+    longest series; the least recently used ones go once the series
+    hold more than `capacity` coefficients in all, and a series longer
+    than that is never stored.  A lock keeps the bookkeeping whole when
+    threads share the memo."""
+
+    def __init__(self, capacity: int):
+        self.capacity = capacity
+        self.size = 0
+        self._series: OrderedDict[tuple[Family, int, int | None], TruncatedSeries] = \
+            OrderedDict()
+        self._lock = threading.Lock()
+
+    def clear(self) -> None:
+        with self._lock:
+            self._series.clear()
+            self.size = 0
+
+    def nearest(self, family: Family, k: int, lane: int | None,
+                order: int) -> tuple[int, TruncatedSeries] | None:
+        """The stored (k', series) with the largest k' <= k whose series
+        reaches the order, or None."""
+        with self._lock:
+            for held in range(k, 0, -1):
+                series = self._series.get((family, held, lane))
+                if series is not None and series.order >= order:
+                    self._series.move_to_end((family, held, lane))
+                    return held, series
+        return None
+
+    def store(self, family: Family, k: int, lane: int | None,
+              series: TruncatedSeries) -> None:
+        key = (family, k, lane)
+        with self._lock:
+            old = self._series.get(key)
+            if old is not None and old.order >= series.order:
+                self._series.move_to_end(key)
+                return
+            if series.order > self.capacity:
+                return
+            if old is not None:
+                del self._series[key]
+                self.size -= old.order
+            self._series[key] = series
+            self.size += series.order
+            while self.size > self.capacity:
+                _, evicted = self._series.popitem(last=False)
+                self.size -= evicted.order
+
+
+# About three times what one round of the verify-exact benchmark keeps
+# (some 20,000 coefficients of a few hundred bits each).
+_MEMO = _SweepMemo(2**16)
+
+
 def _family_sweep(family: Family, ks: Iterable[int], order: int,
                   modulus: int | None = None) -> Iterator[tuple[int, TruncatedSeries]]:
     """Yield (k, the k-colored family's series through the order) for each
     distinct k in ks, in increasing k; with `modulus` set, reduced as by
-    eval_eta(..., modulus=modulus).
+    eval_eta(..., modulus=modulus).  This is the package's one source of
+    family series for the verifiers.
 
-    The first k is expanded by eval_eta.  Every later one is stepped from
-    the one before by identities that hold exactly at any truncation:
+    Every later k is stepped from the one before by identities that hold
+    exactly at any truncation:
 
         a_(k+1) = a_k * f2 / f1    (two passes)
         b_(k+1) = b_k / f2         (one pass)
 
-    Expanding a_k directly costs 2k-1 passes and b_k costs k, so the chain
-    never restarts: it runs exactly the passes of a direct expansion of
-    the largest k.  That expansion's estimate, plus one output series per
-    further k, is refused above the expansion limit before the first pass.
+    Every series the sweep yields is kept in a memo of the process
+    (_MEMO), by family, k and lane, at its longest order.  The chain
+    starts from the kept series with the largest k' <= min(ks) in the
+    same lane that reaches the order, truncated, which is exact; with
+    none, from eval_eta of min(ks).  Expanding a_k directly costs 2k-1
+    passes and b_k costs k, so stepping from k' never costs more, and
+    the chain never restarts.  The memo holds at most 2**16 coefficients
+    and drops the least recently used series first.
+
+    Before the memo is read, the work of a direct expansion of the
+    largest k, plus one output series per further k, is refused above
+    the expansion limit, so whether an input is refused does not depend
+    on what the memo holds.
     """
+    if order < 1:
+        raise ValueError("order must be >= 1")
     ks = sorted(set(ks))
     if not ks:
         return
@@ -167,33 +243,50 @@ def _family_sweep(family: Family, ks: Iterable[int], order: int,
     m = None if modulus is None else _modulus_value(modulus)
     _refuse_above_limit(_expansion_work(family_expression(last), order)
                         + order * (len(ks) - 1))
-    series = eval_eta(family_expression(first), order, m)
-    yield ks[0], series
-    f1, f2 = _pochhammer_coeffs(1, order), _pochhammer_coeffs(2, order)
-    acc = series.coeffs
-    for prev, k in zip(ks, ks[1:]):
-        for _ in range(k - prev):
-            if family is Family.ODD_COLORED:
-                acc = kernels.div(kernels.mul(f2, acc, order, m), f1, order, m)
-            else:
-                acc = kernels.div(acc, f2, order, m)
-        yield k, TruncatedSeries(acc)
+    start = _MEMO.nearest(family, first.colors, m, order)
+    if start is None:
+        k, series = first.colors, eval_eta(family_expression(first), order, m)
+    else:
+        k, series = start
+        if series.order > order:
+            series = series.truncate(order)
+    for target in ks:
+        if target > k:
+            f1, f2 = _pochhammer_coeffs(1, order), _pochhammer_coeffs(2, order)
+            acc = series.coeffs
+            for _ in range(target - k):
+                if family is Family.ODD_COLORED:
+                    acc = kernels.div(kernels.mul(f2, acc, order, m), f1, order, m)
+                else:
+                    acc = kernels.div(acc, f2, order, m)
+            k, series = target, TruncatedSeries(acc)
+        _MEMO.store(family, k, m, series)
+        yield k, series
 
 
 def verify_claim(claim: CongruenceClaim, upto: int,
                  modular: bool = False) -> ClaimReport:
     """Check a claim for n = 0 .. upto-1 and report the smallest violation.
 
-    The series order is derived, never guessed: modulus*upto + residue + 1.
+    The series comes from the family sweep at order modulus*(upto+1),
+    the order scan uses for (modulus, upto), so every residue class of
+    one (modulus, upto) shares one series, and a series the process
+    built before is reused.  Class r of it has upto + 1 coefficients,
+    as at the claim's own order modulus*upto + r + 1, so the report is
+    the same.  Where the shared order would be refused as too much
+    work, the claim's own order is used, so a claim is refused, with
+    the same message, exactly when its own expansion would be.
     With `modular` set the expansion runs mod the claim modulus (faster;
     a counterexample value is then only known as a residue).
     """
     if upto < 1:
         raise ValueError("upto must be >= 1")
     m, r = claim.modulus, claim.residue
-    order = m * upto + r + 1
-    series = eval_eta(family_expression(claim.spec), order,
-                      modulus=m if modular else None)
+    order = m * (upto + 1)
+    if _expansion_work(family_expression(claim.spec), order) > _MAX_EXPANSION_WORK:
+        order = m * upto + r + 1
+    _, series = next(_family_sweep(claim.spec.family, [claim.spec.colors], order,
+                                   m if modular else None))
     return _check_component(claim, series, upto)
 
 
@@ -277,7 +370,7 @@ class DissectionReport:
 
 def dissected_component(upto: int) -> TruncatedSeries:
     """sum_n a_3(7n+2) q^n through order upto (plus one guard coefficient)."""
-    base = eval_eta("f2^2/f1^3", 7 * upto + 3)
+    _, base = next(_family_sweep(Family.ODD_COLORED, [3], 7 * upto + 3))
     return base.dissect(7, 2)
 
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from .series import TruncatedSeries
+from .series import TruncatedSeries, _int_value
 
 
 class CapExceededError(ValueError):
@@ -36,8 +36,10 @@ class ColoredFamilySpec:
     colors: int
 
     def __post_init__(self) -> None:
-        if not isinstance(self.colors, int) or self.colors < 1:
-            raise ValueError(f"color count must be an integer >= 1, got {self.colors!r}")
+        colors = _int_value(self.colors, "color count")
+        if colors < 1:
+            raise ValueError(f"color count must be an integer >= 1, got {colors}")
+        object.__setattr__(self, "colors", colors)
 
     def color_count(self, weight: int) -> int:
         """Number of colors available to a part of the given weight."""

@@ -19,6 +19,15 @@ class NonUnitConstantTermError(ValueError):
     """Inversion requires a constant term of +1 or -1."""
 
 
+def _int_value(x: int, what: str) -> int:
+    """x as an int; TypeError for a float or a string, which int() would
+    truncate or parse, and for True and False, which index() takes as 1
+    and 0."""
+    if isinstance(x, bool):
+        raise TypeError(f"{what} must be an integer, got {x!r}")
+    return index(x)
+
+
 def _modulus_value(m: int) -> int:
     """m as an int >= 2; TypeError for a float or a string, which int()
     would truncate or parse, ValueError below 2 (True and False included)."""

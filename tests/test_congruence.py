@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from qpart import congruence
+from qpart import congruence, etaq
 from qpart.congruence import (
     MOD7_FAMILY_ROWS,
     ClaimSource,
@@ -22,7 +22,7 @@ from qpart.congruence import (
     verify_mod7_family,
     verify_mod7_lifts,
 )
-from qpart.etaq import eval_eta, format_eta
+from qpart.etaq import _expansion_work, eval_eta, format_eta
 from qpart.partitions import ColoredFamilySpec, Family, count
 
 
@@ -41,6 +41,10 @@ def test_claim_validation():
         CongruenceClaim(a(1), 1, 0)
     with pytest.raises(ValueError):
         CongruenceClaim(a(1), 7, 7)
+    # a float, a string or a bool is refused, not truncated or taken as 0 or 1
+    for modulus, residue in ((7.5, 2), (7.0, 2), ("7", 2), (True, 0), (7, 2.0), (7, True)):
+        with pytest.raises(TypeError):
+            CongruenceClaim(a(3), modulus, residue)
 
 
 def test_family_expression_text():
@@ -94,6 +98,22 @@ def test_verify_claim_agrees_with_dp_oracle():
                 report = verify_claim(CongruenceClaim(spec, m, r), 60 // m)
                 by_dp = all(count(spec, m * n + r) % m == 0 for n in range(60 // m))
                 assert report.holds == by_dp
+
+
+def test_claim_refused_exactly_when_its_own_expansion_is(monkeypatch):
+    # a limit between the work at the claim's own order, 7*40 + 0 + 1,
+    # and at the order it shares with the other classes, 7*41
+    claim = CongruenceClaim(a(3), 7, 0)
+    own = _expansion_work(family_expression(a(3)), 7 * 40 + 1)
+    assert own < _expansion_work(family_expression(a(3)), 7 * 41)
+    report = verify_claim(claim, 40)
+    for module in (etaq, congruence):
+        monkeypatch.setattr(module, "_MAX_EXPANSION_WORK", own)
+    assert verify_claim(claim, 40) == report
+    for module in (etaq, congruence):
+        monkeypatch.setattr(module, "_MAX_EXPANSION_WORK", own - 1)
+    with pytest.raises(ValueError, match=f"needs about {own} coefficient additions"):
+        verify_claim(claim, 40)
 
 
 def test_report_json_schema():
@@ -264,11 +284,23 @@ def test_scan_modular_agrees_with_exact():
 def test_oversized_sweep_refused_before_any_expansion(monkeypatch):
     def no_expansion(*args, **kwargs):
         raise AssertionError("the sweep started expanding before its estimate")
-    monkeypatch.setattr(congruence, "eval_eta", no_expansion)
-    with pytest.raises(ValueError, match="limit"):
-        next(congruence._family_sweep(Family.ODD_COLORED, range(1, 10**6), 400))
-    with pytest.raises(ValueError, match="limit"):
-        scan(range(1, 10**5), 7, 50, family=Family.EVEN_COLORED, modular=True)
+
+    def refused():
+        with monkeypatch.context() as patch:
+            for module, name in ((congruence, "eval_eta"), (congruence.kernels, "mul"),
+                                 (congruence.kernels, "div")):
+                patch.setattr(module, name, no_expansion)
+            with pytest.raises(ValueError, match="limit"):
+                next(congruence._family_sweep(Family.ODD_COLORED, range(1, 10**6), 400))
+            with pytest.raises(ValueError, match="limit"):
+                scan(range(1, 10**5), 7, 50, family=Family.EVEN_COLORED, modular=True)
+
+    refused()
+    # kept series of both families, from which the chains could start,
+    # change nothing
+    list(congruence._family_sweep(Family.ODD_COLORED, [1, 2, 3], 400))
+    list(congruence._family_sweep(Family.EVEN_COLORED, [1, 2], 400, 7))
+    refused()
 
 
 def test_scan_range_floor():

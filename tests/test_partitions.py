@@ -138,6 +138,12 @@ def test_enumeration_cap():
 
 def test_partition_validation():
     with pytest.raises(ValueError):
+        a(0)
+    # a bool, a float or a string is refused, not taken as 1 or truncated
+    for colors in (True, 2.0, 2.5, "2"):
+        with pytest.raises(TypeError):
+            ColoredFamilySpec(Family.ODD_COLORED, colors)
+    with pytest.raises(ValueError):
         ColoredPartition(a(2), ((2, 2),))  # even part cannot take color 2
     with pytest.raises(ValueError):
         ColoredPartition(a(2), ((1, 1), (1, 2)))  # ascending order
