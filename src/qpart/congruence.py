@@ -26,14 +26,13 @@ from functools import lru_cache
 from importlib import resources
 from typing import Iterable, Iterator
 
-from . import _kernels_py as kernels
 from .etaq import (
     EtaExpression,
     EtaTerm,
     ThetaFamily,
     _MAX_EXPANSION_WORK,
+    _apply_factors,
     _expansion_work,
-    _pochhammer_coeffs,
     _refuse_above_limit,
     eval_eta,
     parse_eta,
@@ -214,11 +213,10 @@ def _family_sweep(family: Family, ks: Iterable[int], order: int,
     eval_eta(..., modulus=modulus).  This is the package's one source of
     family series for the verifiers.
 
-    Every later k is stepped from the one before by identities that hold
-    exactly at any truncation:
-
-        a_(k+1) = a_k * f2 / f1    (two passes)
-        b_(k+1) = b_k / f2         (one pass)
+    Every later k is stepped from the one before, k0, by the ratio of
+    their eta-quotients, family_expression(k) / family_expression(k0),
+    through eval_eta's own pass loop (etaq._apply_factors), exactly at
+    any truncation: two passes per color for family a, one for family b.
 
     Every series the sweep yields is kept in a memo of the process
     (_MEMO), by family, k and lane, at its longest order.  The chain
@@ -247,19 +245,14 @@ def _family_sweep(family: Family, ks: Iterable[int], order: int,
     if start is None:
         k, series = first.colors, eval_eta(family_expression(first), order, m)
     else:
-        k, series = start
-        if series.order > order:
-            series = series.truncate(order)
+        k, series = start[0], start[1].truncate(order)
     for target in ks:
         if target > k:
-            f1, f2 = _pochhammer_coeffs(1, order), _pochhammer_coeffs(2, order)
-            acc = series.coeffs
-            for _ in range(target - k):
-                if family is Family.ODD_COLORED:
-                    acc = kernels.div(kernels.mul(f2, acc, order, m), f1, order, m)
-                else:
-                    acc = kernels.div(acc, f2, order, m)
-            k, series = target, TruncatedSeries(acc)
+            step = dict(family_expression(ColoredFamilySpec(family, target)).terms[0].factors)
+            for s, e in family_expression(ColoredFamilySpec(family, k)).terms[0].factors:
+                step[s] = step.get(s, 0) - e
+            k, series = target, TruncatedSeries(_apply_factors(
+                series.coeffs, EtaTerm.make(1, 0, step).factors, order, m))
         _MEMO.store(family, k, m, series)
         yield k, series
 
@@ -404,10 +397,12 @@ def verify_frobenius(a: int, b: int, p: int, order: int = 300) -> bool:
     """Check f_a^(b*p) == f_(a*p)^b (mod p) through the given order."""
     if a < 1 or b < 1:
         raise ValueError("need a >= 1 and b >= 1")
+    if p > 1:  # trial division takes up to sqrt(p) steps: refuse too much work first
+        difference = EtaExpression((EtaTerm.make(1, 0, {a: b * p}),
+                                    EtaTerm.make(-1, 0, {a * p: b})))
+        _refuse_above_limit(_expansion_work(difference, order))
     if not _is_prime(p):
         raise ValueError(f"p must be prime, got {p}")
-    difference = EtaExpression((EtaTerm.make(1, 0, {a: b * p}),
-                                EtaTerm.make(-1, 0, {a * p: b})))
     return eval_eta(difference, order, modulus=p).is_zero()
 
 

@@ -18,10 +18,9 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from functools import lru_cache
 from math import isqrt
 from operator import add
-from typing import Mapping, Union
+from typing import Mapping, Sequence, Union
 
 from . import _kernels_py as kernels
 from .series import TruncatedSeries, _modulus_value
@@ -355,8 +354,21 @@ def _format_term(term: EtaTerm) -> str:
 
 # eval_eta refuses an expansion that would cost more than this many
 # coefficient additions: one per output coefficient, one per coefficient
-# a term adds into the output, and |e| * order * nnz(fk) per factor.
+# a term adds into the output, and per pass order * nnz(fk) plus
+# _PASS_OVERHEAD, what a pass costs whatever its length.
 _MAX_EXPANSION_WORK = 10**8
+_PASS_OVERHEAD = 40  # a pass at order 1 takes 1-1.5 us; an addition at order 2107, 35-45 ns
+
+
+def _apply_factors(acc: Sequence[int], factors, n: int, m: int | None) -> Sequence[int]:
+    """acc * prod fk^e through order n, mod m if set, for (k, e) pairs as
+    in EtaTerm.factors: |e| passes of kernels.mul(fk, acc) or
+    kernels.div(acc, fk) each.  eval_eta and the family sweep pass here."""
+    for k, e in factors:
+        fk = _pochhammer_coeffs(k, n)
+        for _ in range(abs(e)):
+            acc = kernels.mul(fk, acc, n, m) if e > 0 else kernels.div(acc, fk, n, m)
+    return acc
 
 
 def _expansion_work(expr: EtaExpression, order: int) -> int:
@@ -365,8 +377,8 @@ def _expansion_work(expr: EtaExpression, order: int) -> int:
     for term in expr.terms:
         n = order - term.q_shift
         if n > 0:  # n to accumulate, |e| passes over fk's 1 + 2*isqrt(2n/(3k)) nonzeros
-            work += n * (1 + sum(abs(e) * (1 + 2 * isqrt(2 * n // (3 * k)))
-                                 for k, e in term.factors))
+            work += n + sum(abs(e) * (n * (1 + 2 * isqrt(2 * n // (3 * k))) + _PASS_OVERHEAD)
+                            for k, e in term.factors)
     return work
 
 
@@ -376,13 +388,13 @@ def _refuse_above_limit(work: int) -> None:
                          f"more than the limit of {_MAX_EXPANSION_WORK}")
 
 
-@lru_cache(maxsize=None)
 def _pochhammer_coeffs(k: int, order: int) -> tuple[int, ...]:
     """Coefficients of fk below the order.
 
     By Euler's pentagonal number theorem the nonzero ones sit at
     k*j*(3j-1)/2 and k*j*(3j+1)/2 for j >= 0, both with coefficient
-    (-1)^j; there are O(sqrt(order/k)) of them.
+    (-1)^j; there are O(sqrt(order/k)) of them.  Not cached: building
+    fk costs far less than one pass over it.
     """
     c = [0] * order
     c[0] = 1
@@ -418,14 +430,12 @@ def eval_eta(expr: Union[EtaExpression, str], order: int,
     """Expand an eta-quotient expression through the given order.
 
     A term c * q^s * prod fk^e is expanded through order N - s (N the
-    requested order), one factor at a time: |e| passes of
-    `kernels.mul(fk, acc)` or `kernels.div(acc, fk)`.  Both kernels work
-    over the nonzero coefficients of fk only, about 2*sqrt(2N/(3k)) of
-    them, each +1 or -1, so a pass costs about N * nnz(fk) integer
-    additions and no multiplications, and a term costs sum_k |e_k|
-    passes.  An expression whose output and passes would cost more than
-    _MAX_EXPANSION_WORK additions is refused with ValueError before
-    anything is allocated.
+    requested order) by _apply_factors, from the series 1, in sum_k |e_k|
+    passes.  Both kernels work over the nonzero coefficients of fk only,
+    about 2*sqrt(2N/(3k)) of them, each +1 or -1, so a pass costs about
+    N * nnz(fk) integer additions and no multiplications.  An expression
+    whose output and passes would cost more than _MAX_EXPANSION_WORK
+    additions is refused with ValueError before anything is allocated.
 
     With `modulus` set, every pass reduces into 0..modulus-1.  Nothing
     is divided by anything but fk's constant term 1, so this holds for
@@ -444,12 +454,7 @@ def eval_eta(expr: Union[EtaExpression, str], order: int,
         c = term.coefficient if m is None else term.coefficient % m
         if s >= order or not c:
             continue
-        n = order - s
-        acc = [1] + [0] * (n - 1)
-        for k, e in term.factors:
-            fk = _pochhammer_coeffs(k, n)
-            for _ in range(abs(e)):
-                acc = kernels.mul(fk, acc, n, m) if e > 0 else kernels.div(acc, fk, n, m)
+        acc = _apply_factors([1] + [0] * (order - s - 1), term.factors, order - s, m)
         total[s:] = map(add, total[s:], [c * x for x in acc])
     return TruncatedSeries(total if m is None else [x % m for x in total])
 

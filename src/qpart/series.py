@@ -207,7 +207,7 @@ class TruncatedSeries:
         """Restriction to a smaller order."""
         if not 1 <= order <= self.order:
             raise ValueError(f"cannot truncate order {self.order} to {order}")
-        return TruncatedSeries(self._coeffs[:order])
+        return self if order == self.order else TruncatedSeries(self._coeffs[:order])
 
     def reduce_mod(self, m: int) -> "TruncatedSeries":
         """Each coefficient replaced by its least nonnegative residue mod m."""

@@ -78,6 +78,16 @@ def test_expand_runaway_exponent_exits_2_promptly(capsys):
     assert "limit" in err
 
 
+def test_expand_many_short_passes_exits_2_promptly(capsys):
+    # three million passes at order 3 take seconds, though each is short
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, "expand", "f1^-3000000", "--order", "3")
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 2
+    assert out == ""
+    assert "limit" in err
+
+
 @pytest.mark.parametrize("argv", [
     ("expand", "1", "--order", "1000000000"),
     ("expand", "q^2000000000", "--order", "1000000000"),
@@ -204,6 +214,26 @@ def test_verify_dissection(capsys):
     code, out, _ = run(capsys, "verify", "dissection", "--upto", "30")
     assert code == 0
     assert "exact match through order 30" in out
+
+
+def test_verify_frobenius_oversized_prime_exits_2_promptly(capsys):
+    # 10**18 + 3 is prime, and trial division alone would take minutes
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, "verify", "frobenius", "--a", "1", "--b", "1",
+                         "--p", "1000000000000000003", "--order", "5")
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 2
+    assert out == ""
+    assert "limit" in err
+
+
+@pytest.mark.parametrize("p", ["4", "1", "0", "-3"])
+def test_verify_frobenius_non_prime_exits_2(capsys, p):
+    code, out, err = run(capsys, "verify", "frobenius", "--a", "1", "--b", "1",
+                         "--p", p, "--order", "5")
+    assert code == 2
+    assert out == ""
+    assert f"p must be prime, got {p}" in err
 
 
 def test_verify_frobenius(capsys):

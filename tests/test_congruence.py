@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from qpart import congruence, etaq
+from qpart import _kernels_py, congruence, etaq
 from qpart.congruence import (
     MOD7_FAMILY_ROWS,
     ClaimSource,
@@ -287,8 +287,8 @@ def test_oversized_sweep_refused_before_any_expansion(monkeypatch):
 
     def refused():
         with monkeypatch.context() as patch:
-            for module, name in ((congruence, "eval_eta"), (congruence.kernels, "mul"),
-                                 (congruence.kernels, "div")):
+            for module, name in ((congruence, "eval_eta"), (_kernels_py, "mul"),
+                                 (_kernels_py, "div")):
                 patch.setattr(module, name, no_expansion)
             with pytest.raises(ValueError, match="limit"):
                 next(congruence._family_sweep(Family.ODD_COLORED, range(1, 10**6), 400))

@@ -1,5 +1,8 @@
 """Pochhammer builders, theta closed forms, and eta-quotient evaluation."""
 
+import gc
+import tracemalloc
+
 import pytest
 
 from qpart.etaq import (
@@ -148,3 +151,18 @@ def test_eval_modular_with_shifted_terms():
 def test_eval_rejects_bad_order():
     with pytest.raises(ValueError):
         eval_eta("f1", 0)
+
+
+def test_eval_retains_nothing_across_orders():
+    eval_eta("f1*f2", 999)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for n in range(1000, 1200):
+            eval_eta("f1*f2", n)
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert held < 256 * 1024
