@@ -21,7 +21,6 @@ from .congruence import (
     ClaimReport,
     ClaimSource,
     CongruenceClaim,
-    UnsupportedFamilyError,
     dissection_rhs_text,
     replay_proof,
     scan,
@@ -31,9 +30,8 @@ from .congruence import (
     verify_mod7_family,
     verify_mod7_lifts,
 )
-from .etaq import EtaSyntaxError, ZeroScaleError, eval_eta, parse_eta
+from .etaq import eval_eta, parse_eta
 from .partitions import (
-    CapExceededError,
     ColoredFamilySpec,
     Family,
     count,
@@ -313,8 +311,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (EtaSyntaxError, ZeroScaleError, UnsupportedFamilyError,
-            CapExceededError, ValueError) as exc:
+    except ValueError as exc:  # every refusal type of the package subclasses it
         print(f"qpart: {exc}", file=sys.stderr)
         return 2
 

@@ -24,17 +24,18 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from .etaq import (
     EtaExpression,
     EtaTerm,
     ThetaFamily,
-    _MAX_EXPANSION_WORK,
     _apply_factors,
     _expansion_work,
     _refuse_above_limit,
+    _within_limit,
     eval_eta,
+    format_eta,
     parse_eta,
     theta_series,
     theta_support_mod,
@@ -276,7 +277,7 @@ def verify_claim(claim: CongruenceClaim, upto: int,
         raise ValueError("upto must be >= 1")
     m, r = claim.modulus, claim.residue
     order = m * (upto + 1)
-    if _expansion_work(family_expression(claim.spec), order) > _MAX_EXPANSION_WORK:
+    if not _within_limit(_expansion_work(family_expression(claim.spec), order)):
         order = m * upto + r + 1
     _, series = next(_family_sweep(claim.spec.family, [claim.spec.colors], order,
                                    m if modular else None))
@@ -285,12 +286,30 @@ def verify_claim(claim: CongruenceClaim, upto: int,
 
 def _check_component(claim: CongruenceClaim, series: TruncatedSeries,
                      upto: int) -> ClaimReport:
+    """Check coefficients m*n + r of the series for n < upto."""
     m, r = claim.modulus, claim.residue
-    component = series.dissect(m, r)
-    for n in range(upto):
-        if component[n] % m:
-            return ClaimReport(claim, upto, Counterexample(n, component[n]))
+    component = series.coeffs[r::m][:upto]
+    assert len(component) == upto, (series.order, m, r, upto)
+    for n, value in enumerate(component):
+        if value % m:
+            return ClaimReport(claim, upto, Counterexample(n, value))
     return ClaimReport(claim, upto, None)
+
+
+def _family_rows(family: Family, ks: Iterable[int], modulus: int, upto: int,
+                 residues: Callable[[int], Iterable[int]],
+                 modular: bool = False) -> list[ClaimReport]:
+    """Check the classes residues(k) of every k in ks for n < upto, in
+    increasing k, from one family sweep at order modulus*(upto+1)."""
+    reports = []
+    for k, series in _family_sweep(family, ks, modulus * (upto + 1),
+                                   modulus if modular else None):
+        spec = ColoredFamilySpec(family, k)
+        for r in residues(k):
+            claim = CongruenceClaim(spec, modulus, r,
+                                    _scan_source(family, k, modulus, r))
+            reports.append(_check_component(claim, series, upto))
+    return reports
 
 
 def verify_mod7_family(upto: int = 300) -> list[ClaimReport]:
@@ -303,25 +322,17 @@ def verify_mod7_lifts(j_max: int, upto: int = 100) -> list[ClaimReport]:
 
     The j = 0 rows are the theorem rows of verify_mod7_family.  The
     color counts 7j+k increase in row order, so one exact family sweep
-    builds them all, through the largest order a row needs, 7*upto + 7:
+    builds them all, at order 7*(upto+1), the order verify_claim uses:
     2*(7*j_max + 7) - 1 passes in all, where expanding each row on its
     own would cost 2k - 1 passes per row (13 against 35 for j_max = 0).
-    Each row dissects its class from that series; truncation is exact,
-    so the reports equal verify_claim's.
     """
     if j_max < 0:
         raise ValueError("j_max must be >= 0")
     if upto < 1:
         raise ValueError("upto must be >= 1")
     ks = [7 * j + k for j in range(j_max + 1) for k, _ in MOD7_FAMILY_ROWS]
-    order = 7 * upto + max(r for _, r in MOD7_FAMILY_ROWS) + 1
-    reports = []
-    for k, series in _family_sweep(Family.ODD_COLORED, ks, order):
-        r = _MOD7_RESIDUE[k % 7 or 7]
-        claim = CongruenceClaim(ColoredFamilySpec(Family.ODD_COLORED, k), 7, r,
-                                _scan_source(Family.ODD_COLORED, k, 7, r))
-        reports.append(_check_component(claim, series, upto))
-    return reports
+    return _family_rows(Family.ODD_COLORED, ks, 7, upto,
+                        lambda k: [_MOD7_RESIDUE[k % 7 or 7]])
 
 
 def lift_factorization_holds(j: int, k: int, order: int = 200) -> bool:
@@ -422,8 +433,8 @@ class ProofTrace:
     """Machine-checked replay of a support-residue proof.
 
     The generating series (after the substitution q -> q^scale, if any)
-    is rewritten mod 7 as a product of closed-form theta series over a
-    power of f7; the component support residues then cannot sum to the
+    is rewritten mod 7 as a product of closed-form theta series over
+    f_(7*scale); the component support residues then cannot sum to the
     target class, which forces the congruence.
     """
 
@@ -440,28 +451,14 @@ class ProofTrace:
         return all(step.verified for step in self.steps)
 
 
-@dataclass(frozen=True)
-class _Recipe:
-    scale: int          # substitution applied to the generating series
-    numerator: str      # rewritten numerator, an eta expression
-    divisor_scale: int  # the rewritten form divides by f_(divisor_scale)
-    components: tuple[tuple[ThetaFamily, int], ...]  # (family, inner scale)
-
-
-_RECIPES: dict[int, _Recipe] = {
-    1: _Recipe(1, "f1^6", 7,
-               ((ThetaFamily.JACOBI_CUBE, 1), (ThetaFamily.JACOBI_CUBE, 1))),
-    3: _Recipe(2, "f2^4*f4^2", 14,
-               ((ThetaFamily.OCTAGONAL_WEIGHTED, 1),
-                (ThetaFamily.OCTAGONAL_ALTERNATING, 1))),
-    4: _Recipe(1, "f1^3*f2^3", 7,
-               ((ThetaFamily.PENTAGONAL_WEIGHTED, 1),
-                (ThetaFamily.OCTAGONAL_ALTERNATING, 1))),
-    5: _Recipe(1, "f1^2*f2^4", 7,
-               ((ThetaFamily.PENTAGONAL_WEIGHTED, 2),
-                (ThetaFamily.OCTAGONAL_WEIGHTED, 1))),
-    7: _Recipe(1, "f2^6", 7,
-               ((ThetaFamily.JACOBI_CUBE, 2), (ThetaFamily.JACOBI_CUBE, 2))),
+# Per built-in row: the substitution scale s and the two theta components
+# (family, inner scale) whose product is the rewritten numerator.
+_RECIPES: dict[int, tuple[int, tuple[tuple[ThetaFamily, int], ...]]] = {
+    1: (1, ((ThetaFamily.JACOBI_CUBE, 1), (ThetaFamily.JACOBI_CUBE, 1))),
+    3: (2, ((ThetaFamily.OCTAGONAL_WEIGHTED, 1), (ThetaFamily.OCTAGONAL_ALTERNATING, 1))),
+    4: (1, ((ThetaFamily.PENTAGONAL_WEIGHTED, 1), (ThetaFamily.OCTAGONAL_ALTERNATING, 1))),
+    5: (1, ((ThetaFamily.PENTAGONAL_WEIGHTED, 2), (ThetaFamily.OCTAGONAL_WEIGHTED, 1))),
+    7: (1, ((ThetaFamily.JACOBI_CUBE, 2), (ThetaFamily.JACOBI_CUBE, 2))),
 }
 
 
@@ -470,9 +467,9 @@ def replay_proof(k: int, order: int = 300) -> ProofTrace:
 
     Three machine-checked steps:
 
-    1. frobenius-rewrite: the (possibly substituted) generating series
-       is congruent mod 7 to numerator / f_(divisor_scale), which rests
-       on f_s^7 == f_(7s) (mod 7).
+    1. frobenius-rewrite: a_k(q^s) = f_2s^(k-1) / f_s^k is multiplied
+       by f_s^7 / f_s^7, and f_s^7 == f_7s (mod 7) turns it into the
+       numerator f_2s^(k-1) * f_s^(7-k) over f_7s.
     2. theta-substitution: the numerator equals the product of the
        closed-form theta components, exactly.
     3. residue-exclusion: component supports mod 7 stay inside the sets
@@ -484,38 +481,42 @@ def replay_proof(k: int, order: int = 300) -> ProofTrace:
         raise UnsupportedFamilyError(
             f"no replayable proof for k={k}; built-in rows have k in "
             f"{sorted(_RECIPES)}")
-    recipe = _RECIPES[k]
+    scale, components = _RECIPES[k]
     residue = _MOD7_RESIDUE[k]
-    target = (recipe.scale * residue) % 7
+    target = (scale * residue) % 7
 
     spec = ColoredFamilySpec(Family.ODD_COLORED, k)
-    transformed = eval_eta(family_expression(spec), order).substitute(recipe.scale)
-    numerator = eval_eta(recipe.numerator, order)
-    rewritten = eval_eta(f"{recipe.numerator}/f{recipe.divisor_scale}", order)
+    transformed = eval_eta(family_expression(spec), order).substitute(scale)
+    exponents = {2 * scale: k - 1, scale: 7 - k}
+    assert min(exponents.values()) >= 0, exponents
+    numerator_expr = EtaExpression.single(1, 0, exponents)
+    rewritten_expr = EtaExpression.single(1, 0, {**exponents, 7 * scale: -1})
+    numerator = eval_eta(numerator_expr, order)
+    rewritten = eval_eta(rewritten_expr, order)
 
-    frobenius_ok = (verify_frobenius(recipe.scale, 1, 7, order)
+    frobenius_ok = (verify_frobenius(scale, 1, 7, order)
                     and (transformed - rewritten).reduce_mod(7).is_zero())
     step1 = ProofStep(
         "frobenius-rewrite",
-        f"f{recipe.scale}^7 == f{recipe.divisor_scale} (mod 7) turns the series "
-        f"into {recipe.numerator}/f{recipe.divisor_scale}",
+        f"f{scale}^7 == f{7 * scale} (mod 7) turns the series "
+        f"into {format_eta(rewritten_expr)}",
         frobenius_ok)
 
     component_series = [
-        theta_series(fam, order).substitute(s) for fam, s in recipe.components
+        theta_series(fam, order).substitute(s) for fam, s in components
     ]
     product = component_series[0]
     for extra in component_series[1:]:
         product = product * extra
     step2 = ProofStep(
         "theta-substitution",
-        f"{recipe.numerator} equals the product of "
-        f"{', '.join(f'{fam.value}(q^{s})' if s > 1 else fam.value for fam, s in recipe.components)}",
+        f"{format_eta(numerator_expr)} equals the product of "
+        f"{', '.join(f'{fam.value}(q^{s})' if s > 1 else fam.value for fam, s in components)}",
         numerator == product)
 
     claimed_supports = tuple(
         frozenset((s * t) % 7 for t in theta_support_mod(fam, 7))
-        for fam, s in recipe.components
+        for fam, s in components
     )
     computed_supports = tuple(
         cs.reduce_mod(7).support_residues(7) for cs in component_series
@@ -538,7 +539,7 @@ def replay_proof(k: int, order: int = 300) -> ProofTrace:
     return ProofTrace(
         k=k,
         residue=residue,
-        scale=recipe.scale,
+        scale=scale,
         target=target,
         component_supports=claimed_supports,
         sumset=sumset,
@@ -569,19 +570,11 @@ def scan(k_values: Iterable[int], modulus: int, upto: int,
     One family sweep builds every k's series, at order modulus*(upto+1),
     each from the one before: family a costs 2*max(k) - 1 passes in all
     and family b max(k), where expanding each k on its own would cost
-    2k - 1 (or k) passes per k.  Each series is dissected m ways.
+    2k - 1 (or k) passes per k.  Each series is checked in all m classes.
     """
     if upto < 50:
         raise ValueError("scan needs upto >= 50 to be worth reporting")
     if modulus < 2:
         raise ValueError("modulus must be >= 2")
-    reports = []
-    order = modulus * upto + modulus
-    for k, series in _family_sweep(family, k_values, order,
-                                   modulus if modular else None):
-        spec = ColoredFamilySpec(family, k)
-        for r in range(modulus):
-            claim = CongruenceClaim(spec, modulus, r,
-                                    _scan_source(family, k, modulus, r))
-            reports.append(_check_component(claim, series, upto))
-    return reports
+    return _family_rows(family, k_values, modulus, upto,
+                        lambda k: range(modulus), modular)

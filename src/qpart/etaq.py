@@ -382,8 +382,12 @@ def _expansion_work(expr: EtaExpression, order: int) -> int:
     return work
 
 
+def _within_limit(work: int) -> bool:
+    return work <= _MAX_EXPANSION_WORK
+
+
 def _refuse_above_limit(work: int) -> None:
-    if work > _MAX_EXPANSION_WORK:
+    if not _within_limit(work):
         raise ValueError(f"expansion needs about {work} coefficient additions, "
                          f"more than the limit of {_MAX_EXPANSION_WORK}")
 

@@ -46,9 +46,10 @@ class TruncatedSeries:
         cs = tuple(coeffs)
         if not cs:
             raise ValueError("a series needs order >= 1")
-        for c in cs:
-            if not isinstance(c, int) or isinstance(c, bool):
-                raise TypeError(f"coefficients must be ints, got {type(c).__name__}")
+        # one pass over the coefficients' types; the first bad one is named
+        if any(not issubclass(t, int) or t is bool for t in set(map(type, cs))):
+            bad = next(c for c in cs if not isinstance(c, int) or isinstance(c, bool))
+            raise TypeError(f"coefficients must be ints, got {type(bad).__name__}")
         object.__setattr__(self, "_coeffs", cs)
 
     # -- construction ----------------------------------------------------

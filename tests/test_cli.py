@@ -133,6 +133,12 @@ def test_expand_parse_error_exits_2(capsys):
     assert "offset 3" in err
 
 
+def test_expand_zero_scale_exits_2(capsys):
+    code, out, err = run(capsys, "expand", "f1*f0^2")
+    assert (code, out) == (2, "")
+    assert "f0 is not a valid factor (offset 4)" in err
+
+
 def test_expand_requires_exactly_one_source(capsys):
     assert run(capsys, "expand")[0] == 2
     assert run(capsys, "expand", "f1", "--fixture", "theorem13")[0] == 2
@@ -365,6 +371,34 @@ _SUPPORT = ("expand", "f1^3", "--order", "100", "--mod", "7", "--support", "7")
     (_SUPPORT + ("--format", "json"), 0,
      '{\n  "support_modulus": 7,\n  "support_residues": [\n    0,\n    1,\n    3\n  ]\n}\n'),
     (_SUPPORT + ("--format", "csv"), 0, "residue\n0\n1\n3\n"),
+    (("verify", "proof", "--k", "3", "--order", "100"), 0,
+     "proof replay for a_3(7n+2) == 0 (mod 7): VERIFIED\n"
+     "  [ok] frobenius-rewrite: f2^7 == f14 (mod 7) turns the series into f2^4*f4^2/f14\n"
+     "  [ok] theta-substitution: f2^4*f4^2 equals the product of "
+     "octagonal-weighted, octagonal-alternating\n"
+     "  [ok] residue-exclusion: supports [[0, 1, 5], [0, 1, 5]] produce sumset "
+     "[0, 1, 2, 3, 5, 6], which misses the target class 4 (mod 7)\n"),
+    (("verify", "proof", "--k", "4", "--order", "100"), 0,
+     "proof replay for a_4(7n+4) == 0 (mod 7): VERIFIED\n"
+     "  [ok] frobenius-rewrite: f1^7 == f7 (mod 7) turns the series into f1^3*f2^3/f7\n"
+     "  [ok] theta-substitution: f1^3*f2^3 equals the product of "
+     "pentagonal-weighted, octagonal-alternating\n"
+     "  [ok] residue-exclusion: supports [[0, 1, 5], [0, 1, 5]] produce sumset "
+     "[0, 1, 2, 3, 5, 6], which misses the target class 4 (mod 7)\n"),
+    (("verify", "proof", "--k", "5", "--order", "100"), 0,
+     "proof replay for a_5(7n+6) == 0 (mod 7): VERIFIED\n"
+     "  [ok] frobenius-rewrite: f1^7 == f7 (mod 7) turns the series into f1^2*f2^4/f7\n"
+     "  [ok] theta-substitution: f1^2*f2^4 equals the product of "
+     "pentagonal-weighted(q^2), octagonal-weighted\n"
+     "  [ok] residue-exclusion: supports [[0, 2, 3], [0, 1, 5]] produce sumset "
+     "[0, 1, 2, 3, 4, 5], which misses the target class 6 (mod 7)\n"),
+    (("verify", "proof", "--k", "7", "--order", "100"), 0,
+     "proof replay for a_7(7n+3) == 0 (mod 7): VERIFIED\n"
+     "  [ok] frobenius-rewrite: f1^7 == f7 (mod 7) turns the series into f2^6/f7\n"
+     "  [ok] theta-substitution: f2^6 equals the product of "
+     "jacobi-cube(q^2), jacobi-cube(q^2)\n"
+     "  [ok] residue-exclusion: supports [[0, 2, 6], [0, 2, 6]] produce sumset "
+     "[0, 1, 2, 4, 5, 6], which misses the target class 3 (mod 7)\n"),
 ])
 def test_exact_output(capsys, argv, code, expected):
     assert run(capsys, *argv)[:2] == (code, expected)

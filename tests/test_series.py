@@ -35,6 +35,8 @@ def test_empty_and_nonint_rejected():
         TruncatedSeries([])
     with pytest.raises(TypeError):
         TruncatedSeries([1, 2.5])
+    with pytest.raises(TypeError, match="got str"):
+        TruncatedSeries((1,) * 3000 + ("7",))
 
 
 def test_bool_coefficients_rejected():
