@@ -6,12 +6,17 @@ found, 2 = usage or parse error.  Each subcommand computes its answer
 once and hands it to `_emit`, the only code that prints an answer and
 the only code that knows the text, json and csv formats.  Output is
 deterministic; exact coefficients always print as full decimal strings.
+
+`main` builds the argparse tree on its first call and reuses it on every
+later call, so `main(argv)` may be called any number of times in one
+process; importing this module builds nothing.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import sys
 from typing import Iterable, Sequence
@@ -306,9 +311,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser `main` uses: built on the first call, then shared."""
+    return build_parser()
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one qpart request and return its exit code.
+
+    The parser is built on the first call in a process and reused after
+    that; parsing keeps no state between calls, so `main` may be called
+    any number of times in one process.  Usage errors and --help raise
+    SystemExit, as argparse does.
+    """
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except ValueError as exc:  # every refusal type of the package subclasses it

@@ -1,15 +1,21 @@
 """CLI integration: subcommands, formats, and the exit-code contract."""
 
+import argparse
 import csv
 import io
 import json
+import os
+import random
 import subprocess
 import sys
 import time
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import pytest
 
+import qpart
+from qpart import cli
 from qpart.cli import main
 
 
@@ -441,3 +447,84 @@ def test_module_entry_point_exit_codes():
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert proc.stdout.strip() == "16"
+
+
+# -- one parser per process ----------------------------------------------------
+
+# One small request per subcommand; each runs in well under a second.
+_EVERY_SUBCOMMAND = [
+    ("expand", "f2^2/f1^3", "--order", "20"),
+    ("count", "a", "3", "10"),
+    ("enumerate", "b", "2", "4"),
+    ("verify", "claim", "--k", "3", "--mod", "7", "--residue", "2", "--upto", "30"),
+    ("verify", "theorem14", "--upto", "30"),
+    ("verify", "corollary", "--jmax", "1", "--upto", "20"),
+    ("verify", "dissection", "--upto", "10"),
+    ("verify", "frobenius", "--a", "2", "--b", "1", "--p", "7", "--order", "30"),
+    ("verify", "proof", "--k", "3", "--order", "60"),
+    ("scan", "--kmax", "3", "--mod", "5", "--upto", "50", "--family", "b", "--modular"),
+]
+
+
+def _in_process(capsys, argv):
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:  # argparse ends usage errors and --help this way
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_parser_built_once(capsys, monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    cli.build_parser()
+    assert built  # the counter sees every parser and subparser built
+    built.clear()
+    assert run(capsys, "count", "a", "3", "3")[:2] == (0, "16\n")  # may build it
+    built.clear()
+    for fmt in ("text", "json"):
+        for argv in _EVERY_SUBCOMMAND:
+            assert run(capsys, *argv, "--format", fmt)[0] == 0
+    assert built == []
+
+
+# Every subcommand in every format, a failing claim (exit 1), a refusal
+# (ValueError, exit 2), a usage error (SystemExit(2), usage on stderr) and
+# --help at two levels.
+_REENTRANT_ARGVS = [argv + ("--format", fmt) for argv in _EVERY_SUBCOMMAND
+                    for fmt in ("text", "json", "csv")] + [
+    _FAILS,
+    ("expand", "f1", "--order", "5", "--mod", "1"),
+    ("verify", "claim", "--k", "3"),
+    ("--help",),
+    ("verify", "frobenius", "--help"),
+]
+_COLUMNS = "80"  # argparse wraps --help and usage to the terminal width
+
+
+def _fresh(argv):
+    """(exit code, stdout, stderr) of `python -m qpart argv` in a new interpreter."""
+    env = {**os.environ, "COLUMNS": _COLUMNS,
+           "PYTHONPATH": str(Path(qpart.__file__).resolve().parent.parent)}
+    proc = subprocess.run([sys.executable, "-m", "qpart", *argv],
+                          capture_output=True, text=True, env=env, timeout=120)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def test_main_is_reentrant(capsys, monkeypatch):
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        fresh = dict(zip(_REENTRANT_ARGVS, pool.map(_fresh, _REENTRANT_ARGVS)))
+    assert {code for code, _, _ in fresh.values()} == {0, 1, 2}
+    assert fresh[("verify", "claim", "--k", "3")][2].startswith("usage: qpart verify claim")
+    assert fresh[("--help",)][1].startswith("usage: qpart")
+    monkeypatch.setenv("COLUMNS", _COLUMNS)
+    shuffled = random.Random(10).sample(_REENTRANT_ARGVS, len(_REENTRANT_ARGVS))
+    for argv in _REENTRANT_ARGVS + shuffled:
+        assert _in_process(capsys, argv) == fresh[argv], argv
