@@ -1,4 +1,4 @@
-"""Colored-partition counting by dynamic programming and exhaustive listing.
+"""Colored-partition counting by a recurrence and exhaustive listing.
 
 Two families, parametrized by a color count k:
 
@@ -7,13 +7,16 @@ Two families, parametrized by a color count k:
 * EVEN_COLORED ("b"): the mirror family; even weights carry the colors.
 
 Everything here is combinatorial ground truth, independent of the
-q-series pipeline: the DP treats a weight with c colors as c unbounded
-part types and never touches Pochhammer code.
+q-series pipeline: counts come from the divisor-sum recurrence for
+Euler products, built from the color counts alone, and never touch
+Pochhammer code.
 """
 
 from __future__ import annotations
 
 import enum
+import math
+import operator
 from dataclasses import dataclass
 
 from .series import TruncatedSeries, _int_value
@@ -95,32 +98,55 @@ class ColoredPartition:
 
 
 # _count_table refuses a table that would take more than this many
-# additions, as eval_eta refuses an expansion.
+# multiply-adds, in units of 512-bit coefficients, as eval_eta refuses
+# an expansion.
 _MAX_DP_WORK = 10**8
 # enumerate_partitions refuses to list more partitions than this; a
 # listing takes about 450 bytes per partition at n = 25.
 _MAX_LISTING = 10**6
 
 
-def _count_table(spec: ColoredFamilySpec, order: int) -> list[int]:
-    """dp[n] = number of colored partitions of n, for n < order.
+def _dp_work(spec: ColoredFamilySpec, order: int) -> int:
+    """Multiply-adds of _count_table, each weighted by its coefficient size.
 
-    Unbounded-knapsack update applied once per color of each weight;
-    sum_w colors(w) * (order - w), about order^2 * (colors + 1) / 4,
-    additions of exact integers.  Above _MAX_DP_WORK the table is
-    refused with ValueError before it is allocated.
+    The table takes about order^2 / 2 multiply-adds.  A count is at most
+    the number of k-colored partitions of n < order, so by the
+    saddle-point inequality it has at most pi * sqrt(2kn/3) / ln 2 bits;
+    pi / ln 2 < 4.533.  Sizes are counted in 512-bit units, at least 1.
     """
-    work = order * order * (spec.colors + 1) // 4
+    root = math.isqrt(2 * spec.colors * (order - 1) // 3) + 1
+    units = max(1, -(-root * 4533 // 512_000))
+    return order * order // 2 * units
+
+
+def _count_table(spec: ColoredFamilySpec, order: int) -> list[int]:
+    """c[n] = number of colored partitions of n, for n < order.
+
+    The generating function is prod_d (1 - q^d)^-colors(d), so its
+    logarithmic derivative gives n*c(n) = sum_{j=1..n} sigma(j)*c(n-j),
+    with sigma(j) = sum_{d | j} d*colors(d).  Each step is one C-level
+    dot product; the table costs about order^2 / 2 multiply-adds of
+    exact integers, whatever the color count.  The sum is always an
+    exact multiple of n, and that is asserted.  Above _MAX_DP_WORK
+    (see _dp_work) the table is refused with ValueError before it is
+    allocated.
+    """
+    work = _dp_work(spec, order)
     if work > _MAX_DP_WORK:
-        raise ValueError(f"counting needs about {work} additions, "
+        raise ValueError(f"counting needs about {work} multiply-adds, "
                          f"more than the limit of {_MAX_DP_WORK}")
-    dp = [0] * order
-    dp[0] = 1
-    for weight in range(1, order):
-        for _ in range(spec.color_count(weight)):
-            for total in range(weight, order):
-                dp[total] += dp[total - weight]
-    return dp
+    sigma = [0] * order  # sigma[j - 1] = sigma(j)
+    for d in range(1, order):
+        weight = d * spec.color_count(d)
+        for multiple in range(d - 1, order - 1, d):
+            sigma[multiple] += weight
+    c = [1]
+    for n in range(1, order):
+        total = sum(map(operator.mul, sigma, reversed(c)))
+        quotient, remainder = divmod(total, n)
+        assert remainder == 0, f"divisor-sum recurrence: {total} not divisible by {n}"
+        c.append(quotient)
+    return c
 
 
 def count(spec: ColoredFamilySpec, n: int) -> int:
@@ -131,7 +157,7 @@ def count(spec: ColoredFamilySpec, n: int) -> int:
 
 
 def oracle_series(spec: ColoredFamilySpec, order: int) -> TruncatedSeries:
-    """Generating series of the family, built purely by the DP."""
+    """Generating series of the family, built purely from the counts."""
     if order < 1:
         raise ValueError("order must be >= 1")
     return TruncatedSeries(_count_table(spec, order))

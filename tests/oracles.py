@@ -52,3 +52,15 @@ def two_color_overlay_series(order):
         num = poly_mul(num, poly_mul(factor, factor, order), order)
     den = pochhammer_by_product(1, order)
     return poly_mul(num, poly_inv(den, order), order)
+
+
+def colored_partition_counts(spec, order):
+    """Counts of colored partitions of n < order by an unbounded
+    knapsack: a weight with c colors is c separate part types, each
+    added once over every total it can reach."""
+    counts = [1] + [0] * (order - 1)
+    for weight in range(1, order):
+        for _ in range(spec.color_count(weight)):
+            for total in range(weight, order):
+                counts[total] += counts[total - weight]
+    return counts

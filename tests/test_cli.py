@@ -98,9 +98,11 @@ def test_expand_many_short_passes_exits_2_promptly(capsys):
     ("expand", "1", "--order", "1000000000"),
     ("expand", "q^2000000000", "--order", "1000000000"),
     ("count", "a", "1", "1000000000"),
+    ("count", "a", "1000000000", "1000"),
 ])
 def test_huge_table_exits_2_promptly(capsys, argv):
-    # each would first allocate a list of 10**9 integers, about 8 GB
+    # each would first allocate a list of 10**9 integers, about 8 GB,
+    # except the last, whose counts have up to about 2*10^4 bits each
     t0 = time.perf_counter()
     code, out, err = run(capsys, *argv)
     assert time.perf_counter() - t0 < 1.0
@@ -161,6 +163,20 @@ def test_count_paper_values(capsys):
 def test_count_bad_args_exit_2(capsys):
     assert run(capsys, "count", "a", "0", "3")[0] == 2
     assert run(capsys, "count", "a", "2", "-1")[0] == 2
+
+
+def test_count_many_colors_at_small_n(capsys):
+    # the work estimate weighs coefficient size, not the color count itself
+    assert run(capsys, "count", "a", "1000000000", "0") == (0, "1\n", "")
+    assert run(capsys, "count", "a", "1000000000", "1") == (0, "1000000000\n", "")
+
+
+@pytest.mark.slow
+def test_count_large_n_still_answered(capsys):
+    # p(10000), about 5 s on 2 cores
+    assert run(capsys, "count", "a", "1", "10000")[1] == (
+        "36167251325636293988820471890953695495016030339315650422081868605887952"
+        "568754066420592310556052906916435144\n")
 
 
 def test_enumerate_text(capsys):

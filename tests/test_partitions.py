@@ -1,4 +1,5 @@
-"""Colored-partition counting against exhaustive listings and the paper-style display order."""
+"""Colored-partition counting against a knapsack count, exhaustive
+listings and the paper-style display order."""
 
 import pytest
 
@@ -9,10 +10,15 @@ from qpart.partitions import (
     ColoredFamilySpec,
     ColoredPartition,
     Family,
+    _count_table,
+    _dp_work,
+    _MAX_DP_WORK,
     count,
     enumerate_partitions,
     oracle_series,
 )
+
+from oracles import colored_partition_counts
 
 
 def a(k):
@@ -69,6 +75,25 @@ def test_oracle_series_mirror_two_colored():
 def test_oracle_matches_eta_quotient(k):
     for spec in (a(k), b(k)):
         assert oracle_series(spec, 61) == eval_eta(family_expression(spec), 61)
+
+
+@pytest.mark.parametrize("family", Family)
+@pytest.mark.parametrize("k", [1, 2, 3, 5, 7, 28])
+def test_count_table_matches_knapsack_at_every_order(family, k):
+    spec = ColoredFamilySpec(family, k)
+    reference = colored_partition_counts(spec, 200)
+    for order in range(1, 201):
+        assert _count_table(spec, order) == reference[:order]
+
+
+def test_work_estimate_limit_edges():
+    # k = 1 stays within one 512-bit unit up to the limit, which falls
+    # between n = 14141 and n = 14142; a huge k is charged its size
+    assert _dp_work(a(1), 14142) <= _MAX_DP_WORK < _dp_work(a(1), 14143)
+    assert _dp_work(a(1), 10001) <= _MAX_DP_WORK
+    assert _dp_work(a(10**9), 1) == 0
+    assert _dp_work(a(10**9), 1001) > _MAX_DP_WORK
+    assert _dp_work(b(10**4000), 2) > 0
 
 
 def test_first_families_coincide():

@@ -4,7 +4,8 @@ Random bounded eta expressions (1-3 terms, scales 1-6, exponents
 -6..6, q-shifts 0-5, coefficients -9..9, orders 1-120) are expanded by
 `eval_eta` and compared with a dense reference product built only from
 `oracles.py`, with the exact expansion reduced mod m, and, for the
-colored families, with the partition DP.  The family sweep, which steps
+colored families, with the partition counts, which are themselves
+compared with a knapsack count.  The family sweep, which steps
 from one color count to the next, is compared with `eval_eta` for every
 k it yields; random sequences of verifier calls, which share series
 through the sweep's memo, are compared with the same calls on an empty
@@ -38,10 +39,10 @@ from qpart.etaq import (
     parse_eta,
     pochhammer_f,
 )
-from qpart.partitions import ColoredFamilySpec, Family, oracle_series
+from qpart.partitions import ColoredFamilySpec, Family, _count_table, oracle_series
 from qpart.series import TruncatedSeries
 
-from oracles import pochhammer_by_product, poly_inv, poly_mul
+from oracles import colored_partition_counts, pochhammer_by_product, poly_inv, poly_mul
 
 MAX_ORDER = 120
 MODULI = (2, 7, 13, 2**70 + 1)
@@ -116,6 +117,15 @@ def test_modular_lane_matches_reduced_exact(expr, order, m):
 def test_family_expression_matches_partition_dp(family, k, order):
     spec = ColoredFamilySpec(family, k)
     assert eval_eta(family_expression(spec), order) == oracle_series(spec, order)
+
+
+@checked
+@given(family=st.sampled_from(Family), k=st.integers(1, 40), order=orders)
+@example(family=Family.ODD_COLORED, k=40, order=MAX_ORDER)
+@example(family=Family.EVEN_COLORED, k=40, order=1)
+def test_count_table_matches_knapsack(family, k, order):
+    spec = ColoredFamilySpec(family, k)
+    assert _count_table(spec, order) == colored_partition_counts(spec, order)
 
 
 @checked
