@@ -6,7 +6,7 @@ The package splits into four layers:
 * :mod:`qpart.etaq` — Pochhammer/eta-quotient builders, closed-form
   theta series, and the text grammar for eta expressions.
 * :mod:`qpart.partitions` — combinatorial ground truth for the colored
-  families (dynamic programming and exhaustive listing).
+  families (the divisor-sum recurrence and exhaustive listing).
 * :mod:`qpart.congruence` — the claim verifiers, the explicit
   7-dissection identity, the Frobenius congruence, proof replays, and
   the residue scanner.

@@ -19,10 +19,11 @@ reducing.  Beyond single claims this module knows:
 from __future__ import annotations
 
 import enum
+import operator
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 from importlib import resources
 from typing import Callable, Iterable, Iterator
 
@@ -338,6 +339,7 @@ def verify_mod7_lifts(j_max: int, upto: int = 100) -> list[ClaimReport]:
 def lift_factorization_holds(j: int, k: int, order: int = 200) -> bool:
     """The congruence behind the lifts:
     f2^(7j+k-1)/f1^(7j+k) == (f14/f7)^j * f2^(k-1)/f1^k (mod 7)."""
+    j, k, order = map(_int_value, (j, k, order), ("j", "k", "order"))
     if j < 0 or k < 1:
         raise ValueError("need j >= 0 and k >= 1")
     lhs = EtaTerm.make(1, 0, {2: 7 * j + k - 1, 1: -(7 * j + k)})
@@ -406,6 +408,7 @@ def _is_prime(p: int) -> bool:
 
 def verify_frobenius(a: int, b: int, p: int, order: int = 300) -> bool:
     """Check f_a^(b*p) == f_(a*p)^b (mod p) through the given order."""
+    a, b, p, order = map(_int_value, (a, b, p, order), ("a", "b", "p", "order"))
     if a < 1 or b < 1:
         raise ValueError("need a >= 1 and b >= 1")
     if p > 1:  # trial division takes up to sqrt(p) steps: refuse too much work first
@@ -451,7 +454,7 @@ class ProofTrace:
         return all(step.verified for step in self.steps)
 
 
-# Per built-in row: the substitution scale s and the two theta components
+# Per built-in row: the substitution scale s and the theta components
 # (family, inner scale) whose product is the rewritten numerator.
 _RECIPES: dict[int, tuple[int, tuple[tuple[ThetaFamily, int], ...]]] = {
     1: (1, ((ThetaFamily.JACOBI_CUBE, 1), (ThetaFamily.JACOBI_CUBE, 1))),
@@ -485,8 +488,8 @@ def replay_proof(k: int, order: int = 300) -> ProofTrace:
     residue = _MOD7_RESIDUE[k]
     target = (scale * residue) % 7
 
-    spec = ColoredFamilySpec(Family.ODD_COLORED, k)
-    transformed = eval_eta(family_expression(spec), order).substitute(scale)
+    _, series = next(_family_sweep(Family.ODD_COLORED, [k], order))
+    transformed = series.substitute(scale)
     exponents = {2 * scale: k - 1, scale: 7 - k}
     assert min(exponents.values()) >= 0, exponents
     numerator_expr = EtaExpression.single(1, 0, exponents)
@@ -502,28 +505,19 @@ def replay_proof(k: int, order: int = 300) -> ProofTrace:
         f"into {format_eta(rewritten_expr)}",
         frobenius_ok)
 
-    component_series = [
-        theta_series(fam, order).substitute(s) for fam, s in components
-    ]
-    product = component_series[0]
-    for extra in component_series[1:]:
-        product = product * extra
+    component_series = [theta_series(fam, order).substitute(s) for fam, s in components]
+    product = reduce(operator.mul, component_series)
     step2 = ProofStep(
         "theta-substitution",
         f"{format_eta(numerator_expr)} equals the product of "
         f"{', '.join(f'{fam.value}(q^{s})' if s > 1 else fam.value for fam, s in components)}",
         numerator == product)
 
-    claimed_supports = tuple(
-        frozenset((s * t) % 7 for t in theta_support_mod(fam, 7))
-        for fam, s in components
-    )
-    computed_supports = tuple(
-        cs.reduce_mod(7).support_residues(7) for cs in component_series
-    )
-    sumset = frozenset(
-        (x + y) % 7 for x in claimed_supports[0] for y in claimed_supports[1]
-    )
+    claimed_supports = tuple(frozenset((s * t) % 7 for t in theta_support_mod(fam, 7))
+                             for fam, s in components)
+    computed_supports = tuple(cs.reduce_mod(7).support_residues(7) for cs in component_series)
+    sumset = reduce(lambda acc, support: frozenset((x + y) % 7 for x in acc for y in support),
+                    claimed_supports)
     exclusion_ok = (
         all(c <= claimed for c, claimed in zip(computed_supports, claimed_supports))
         and target not in sumset

@@ -20,10 +20,10 @@ import enum
 from dataclasses import dataclass, field
 from math import isqrt
 from operator import add
-from typing import Mapping, Sequence, Union
+from typing import Callable, Mapping, NamedTuple, Sequence, Union
 
 from . import _kernels_py as kernels
-from .series import TruncatedSeries, _modulus_value
+from .series import TruncatedSeries, _int_value, _modulus_value
 
 
 class EtaSyntaxError(ValueError):
@@ -64,17 +64,24 @@ class EtaTerm:
     factors: tuple[tuple[int, int], ...] = ()
 
     def __post_init__(self) -> None:
-        if self.q_shift < 0:
+        coefficient = _int_value(self.coefficient, "coefficient")
+        q_shift = _int_value(self.q_shift, "q_shift")
+        if q_shift < 0:
             raise ValueError("q_shift must be >= 0")
+        factors = tuple((_int_value(k, "factor scale"), _int_value(e, "factor exponent"))
+                        for k, e in self.factors)
         prev = 0
-        for k, e in self.factors:
-            if k <= prev:
-                raise ValueError("factor scales must be distinct and increasing")
+        for k, e in factors:
             if k < 1:
                 raise ValueError("factor scales must be positive")
+            if k <= prev:
+                raise ValueError("factor scales must be distinct and increasing")
             if e == 0:
                 raise ValueError("factor exponents must be nonzero")
             prev = k
+        object.__setattr__(self, "coefficient", coefficient)
+        object.__setattr__(self, "q_shift", q_shift)
+        object.__setattr__(self, "factors", factors)
 
     @classmethod
     def make(cls, coefficient: int, q_shift: int = 0,
@@ -393,35 +400,13 @@ def _refuse_above_limit(work: int) -> None:
 
 
 def _pochhammer_coeffs(k: int, order: int) -> tuple[int, ...]:
-    """Coefficients of fk below the order.
-
-    By Euler's pentagonal number theorem the nonzero ones sit at
-    k*j*(3j-1)/2 and k*j*(3j+1)/2 for j >= 0, both with coefficient
-    (-1)^j; there are O(sqrt(order/k)) of them.  Not cached: building
-    fk costs far less than one pass over it.
-    """
-    c = [0] * order
-    c[0] = 1
-    j = 1
-    while True:
-        e_pos = k * j * (3 * j - 1) // 2
-        if e_pos >= order:
-            break
-        s = -1 if j & 1 else 1
-        c[e_pos] = s
-        e_neg = e_pos + k * j
-        if e_neg < order:
-            c[e_neg] = s
-        j += 1
-    return tuple(c)
+    """Coefficients of fk below the order, O(sqrt(order/k)) of them nonzero.
+    Not cached: building fk costs far less than one pass over it."""
+    return tuple(_closed_form(_CLOSED_FORMS[_EULER], order, k))
 
 
 def pochhammer_f(k: int, order: int) -> TruncatedSeries:
-    """Expansion of fk = (q^k; q^k)_infinity through the given order.
-
-    Built from the pentagonal-number bilateral sum
-    sum_j (-1)^j q^(k*j*(3j-1)/2), which touches O(sqrt(order/k)) terms.
-    """
+    """Expansion of fk = (q^k; q^k)_infinity through the given order."""
     if k < 1:
         raise ValueError("scale k must be >= 1")
     if order < 1:
@@ -474,58 +459,73 @@ class ThetaFamily(enum.Enum):
     product side is recorded in THETA_PRODUCT_FORM.
     """
 
-    JACOBI_CUBE = "jacobi-cube"                      # f1^3
-    PENTAGONAL_WEIGHTED = "pentagonal-weighted"      # f1^5 / f2^2
-    OCTAGONAL_WEIGHTED = "octagonal-weighted"        # f1^2 * f4^2 / f2
-    OCTAGONAL_ALTERNATING = "octagonal-alternating"  # f2^5 / f1^2
+    JACOBI_CUBE = "jacobi-cube"
+    PENTAGONAL_WEIGHTED = "pentagonal-weighted"
+    OCTAGONAL_WEIGHTED = "octagonal-weighted"
+    OCTAGONAL_ALTERNATING = "octagonal-alternating"
 
+
+class _ClosedForm(NamedTuple):
+    """The identity prod f_s^product[s] = sum_n weight(n) * q^exponent(n),
+    summed over n >= 0 if one_sided, else over all integers."""
+
+    product: Mapping[int, int]
+    one_sided: bool
+    term: Callable[[int], tuple[int, int]]  # n -> (exponent, weight)
+
+
+# Euler's pentagonal number theorem for f1, under the private key _EULER,
+# and the four theta closed forms (Hirschhorn, The Power of q).
+_EULER = "euler-pentagonal"
+_CLOSED_FORMS: dict[Union[ThetaFamily, str], _ClosedForm] = {
+    _EULER: _ClosedForm({1: 1}, False, lambda n: (n * (3 * n - 1) // 2, -1 if n & 1 else 1)),
+    ThetaFamily.JACOBI_CUBE: _ClosedForm(
+        {1: 3}, True, lambda n: (n * (n + 1) // 2, (2 * n + 1) * (-1 if n & 1 else 1))),
+    ThetaFamily.PENTAGONAL_WEIGHTED: _ClosedForm(
+        {1: 5, 2: -2}, False, lambda n: (n * (3 * n + 1) // 2, 6 * n + 1)),
+    ThetaFamily.OCTAGONAL_WEIGHTED: _ClosedForm(
+        {1: 2, 2: -1, 4: 2}, False, lambda n: (n * (3 * n + 2), 3 * n + 1)),
+    ThetaFamily.OCTAGONAL_ALTERNATING: _ClosedForm(
+        {1: -2, 2: 5}, False, lambda n: (n * (3 * n + 2), (3 * n + 1) * (-1 if n & 1 else 1))),
+}
 
 THETA_PRODUCT_FORM: dict[ThetaFamily, str] = {
-    ThetaFamily.JACOBI_CUBE: "f1^3",
-    ThetaFamily.PENTAGONAL_WEIGHTED: "f1^5/f2^2",
-    ThetaFamily.OCTAGONAL_WEIGHTED: "f1^2*f4^2/f2",
-    ThetaFamily.OCTAGONAL_ALTERNATING: "f2^5/f1^2",
+    family: format_eta(EtaExpression.single(1, 0, _CLOSED_FORMS[family].product))
+    for family in ThetaFamily
 }
 
 
-def _theta_exponent_weight(family: ThetaFamily, n: int) -> tuple[int, int]:
-    if family is ThetaFamily.JACOBI_CUBE:
-        return n * (n + 1) // 2, (2 * n + 1) * (-1 if n & 1 else 1)
-    if family is ThetaFamily.PENTAGONAL_WEIGHTED:
-        return n * (3 * n + 1) // 2, 6 * n + 1
-    if family is ThetaFamily.OCTAGONAL_WEIGHTED:
-        return n * (3 * n + 2), 3 * n + 1
-    if family is ThetaFamily.OCTAGONAL_ALTERNATING:
-        return n * (3 * n + 2), (3 * n + 1) * (-1 if n & 1 else 1)
-    raise ValueError(f"unknown theta family {family!r}")
+def _closed_form(form: _ClosedForm, order: int, scale: int = 1) -> list[int]:
+    """The form's sum at q -> q^scale below the order.  Exponents grow
+    with |n|, so it stops at the first n at which neither n nor -n lands
+    below the order."""
+    c = [0] * order
+    term, one_sided = form.term, form.one_sided
+    n = 0
+    while True:
+        hit = False
+        for i in (n,) if one_sided or not n else (n, -n):
+            e, w = term(i)
+            e *= scale
+            if e < order:
+                c[e] += w
+                hit = True
+        if not hit:
+            return c
+        n += 1
+
+
+def _theta_form(family: ThetaFamily) -> _ClosedForm:
+    if not isinstance(family, ThetaFamily):
+        raise ValueError(f"unknown theta family {family!r}")
+    return _CLOSED_FORMS[family]
 
 
 def theta_series(family: ThetaFamily, order: int) -> TruncatedSeries:
-    """Evaluate the closed-form sum, including every index whose
-    exponent lies below the order (one-sided over n >= 0 for
-    JACOBI_CUBE, bilateral over all integers otherwise)."""
+    """The family's closed-form sum (see _CLOSED_FORMS) through the order."""
     if order < 1:
         raise ValueError("order must be >= 1")
-    c = [0] * order
-    one_sided = family is ThetaFamily.JACOBI_CUBE
-
-    def put(n: int) -> bool:
-        e, w = _theta_exponent_weight(family, n)
-        if e >= order:
-            return False
-        c[e] += w
-        return True
-
-    put(0)
-    n = 1
-    while True:
-        hit = put(n)
-        if not one_sided:
-            hit = put(-n) or hit
-        if not hit:
-            break
-        n += 1
-    return TruncatedSeries(c)
+    return TruncatedSeries(_closed_form(_theta_form(family), order))
 
 
 def theta_support_mod(family: ThetaFamily, modulus: int = 7) -> frozenset[int]:
@@ -538,9 +538,5 @@ def theta_support_mod(family: ThetaFamily, modulus: int = 7) -> frozenset[int]:
     """
     if modulus < 3 or modulus % 2 == 0:
         raise ValueError("support analysis needs an odd modulus >= 3")
-    out = set()
-    for n in range(modulus):
-        e, w = _theta_exponent_weight(family, n)
-        if w % modulus:
-            out.add(e % modulus)
-    return frozenset(out)
+    term = _theta_form(family).term
+    return frozenset(e % modulus for e, w in map(term, range(modulus)) if w % modulus)

@@ -106,16 +106,22 @@ _MAX_DP_WORK = 10**8
 _MAX_LISTING = 10**6
 
 
-def _dp_work(spec: ColoredFamilySpec, order: int) -> int:
-    """Multiply-adds of _count_table, each weighted by its coefficient size.
+def _count_bits(spec: ColoredFamilySpec, n: int) -> int:
+    """A bound on the bit length of the count of every n' <= n.
 
-    The table takes about order^2 / 2 multiply-adds.  A count is at most
-    the number of k-colored partitions of n < order, so by the
-    saddle-point inequality it has at most pi * sqrt(2kn/3) / ln 2 bits;
-    pi / ln 2 < 4.533.  Sizes are counted in 512-bit units, at least 1.
+    With q = e^-t, sum_{d odd} and sum_{d even} of -log(1 - q^d) are each
+    at most pi^2/(12t), so log F(q) <= (k+1)pi^2/(12t) in both families,
+    and the best t in c(n) <= F(q) q^-n gives log c(n) <= pi*sqrt((k+1)n/3).
+    As pi / ln 2 < 4.533, log2 c(n) < 4.533 * root: at most ceil of that bits.
     """
-    root = math.isqrt(2 * spec.colors * (order - 1) // 3) + 1
-    units = max(1, -(-root * 4533 // 512_000))
+    root = math.isqrt((spec.colors + 1) * n // 3) + 1
+    return -(-root * 4533 // 1000)
+
+
+def _dp_work(spec: ColoredFamilySpec, order: int) -> int:
+    """Multiply-adds of _count_table, about order^2 / 2, each charged its
+    size by _count_bits in 512-bit units, at least 1."""
+    units = max(1, -(-_count_bits(spec, order - 1) // 512))
     return order * order // 2 * units
 
 

@@ -201,6 +201,16 @@ def test_frobenius_key_instances():
     assert verify_frobenius(1, 2, 3, 150)
 
 
+def test_frobenius_and_lift_refuse_non_integers():
+    # a bool or a float is refused, not taken as 1 or truncated
+    for args in ((True, 1, 7), (1, True, 7), (1, 1, 7.0), (1, 1, 7, 50.0)):
+        with pytest.raises(TypeError):
+            verify_frobenius(*args)
+    for args in ((1, True), (True, 1), (1, 1.0), (1, 1, 120.0)):
+        with pytest.raises(TypeError):
+            lift_factorization_holds(*args)
+
+
 def test_frobenius_rejects_composite():
     with pytest.raises(ValueError):
         verify_frobenius(1, 1, 6, 50)

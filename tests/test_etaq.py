@@ -6,6 +6,7 @@ import tracemalloc
 import pytest
 
 from qpart.etaq import (
+    _EULER,
     THETA_PRODUCT_FORM,
     ThetaFamily,
     eval_eta,
@@ -102,6 +103,31 @@ def test_theta_supports_mod7(family, expected):
     assert theta_support_mod(family, 7) == frozenset(expected)
     computed = theta_series(family, 700).reduce_mod(7).support_residues(7)
     assert computed == frozenset(expected)
+
+
+def test_theta_product_forms_pinned():
+    assert THETA_PRODUCT_FORM == {
+        ThetaFamily.JACOBI_CUBE: "f1^3",
+        ThetaFamily.PENTAGONAL_WEIGHTED: "f1^5/f2^2",
+        ThetaFamily.OCTAGONAL_WEIGHTED: "f1^2*f4^2/f2",
+        ThetaFamily.OCTAGONAL_ALTERNATING: "f2^5/f1^2",
+    }
+
+
+@pytest.mark.parametrize("family", list(ThetaFamily))
+def test_theta_supports_match_series_at_other_moduli(family):
+    series = theta_series(family, 1200)
+    for modulus in (3, 5, 11, 13):
+        computed = series.reduce_mod(modulus).support_residues(modulus)
+        assert theta_support_mod(family, modulus) == computed, modulus
+
+
+@pytest.mark.parametrize("family", ["jacobi-cube", _EULER, None])
+def test_theta_rejects_non_members(family):
+    with pytest.raises(ValueError):
+        theta_series(family, 10)
+    with pytest.raises(ValueError):
+        theta_support_mod(family, 7)
 
 
 def test_theta_support_mod_needs_odd_modulus():

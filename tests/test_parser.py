@@ -117,6 +117,24 @@ def test_zero_scale_rejected():
     assert exc.value.position == 4
 
 
+def test_eta_term_validation():
+    # the scale test comes first, so a zero or negative scale is named as such
+    for factors in (((0, 1),), ((-1, 1),), ((0, 1), (2, 1))):
+        with pytest.raises(ValueError, match="positive"):
+            EtaTerm(1, 0, factors)
+    with pytest.raises(ValueError, match="distinct and increasing"):
+        EtaTerm(1, 0, ((2, 1), (1, 1)))
+    with pytest.raises(ValueError, match="nonzero"):
+        EtaTerm(1, 0, ((1, 0),))
+    with pytest.raises(ValueError):
+        EtaTerm(1, -1)
+    # a bool, a float or a string is refused in every field
+    for args in ((True,), (1.0,), (1, 1.0), (1, True), (1, 0, ((1.0, 1),)),
+                 (1, 0, ((1, True),)), (1, 0, (("2", 1),)), (1, 0, ((1, 2.5),))):
+        with pytest.raises(TypeError):
+            EtaTerm(*args)
+
+
 def test_q_exponent_is_unsigned():
     with pytest.raises(EtaSyntaxError):
         parse_eta("q^-1")

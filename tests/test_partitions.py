@@ -10,6 +10,7 @@ from qpart.partitions import (
     ColoredFamilySpec,
     ColoredPartition,
     Family,
+    _count_bits,
     _count_table,
     _dp_work,
     _MAX_DP_WORK,
@@ -91,9 +92,20 @@ def test_work_estimate_limit_edges():
     # between n = 14141 and n = 14142; a huge k is charged its size
     assert _dp_work(a(1), 14142) <= _MAX_DP_WORK < _dp_work(a(1), 14143)
     assert _dp_work(a(1), 10001) <= _MAX_DP_WORK
+    # a_2(11546) has 471 bits; bounding the two parities apart charges it
+    # 490, one 512-bit unit
+    assert _dp_work(a(2), 11547) <= _MAX_DP_WORK
     assert _dp_work(a(10**9), 1) == 0
     assert _dp_work(a(10**9), 1001) > _MAX_DP_WORK
     assert _dp_work(b(10**4000), 2) > 0
+
+
+@pytest.mark.parametrize("family", Family)
+@pytest.mark.parametrize("k", [1, 2, 3, 7, 28])
+def test_count_bits_bounds_every_count(family, k):
+    spec = ColoredFamilySpec(family, k)
+    for n, c in enumerate(_count_table(spec, 1001)):
+        assert c.bit_length() <= _count_bits(spec, n), n
 
 
 def test_first_families_coincide():
