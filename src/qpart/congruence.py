@@ -33,6 +33,7 @@ from .etaq import (
     ThetaFamily,
     _apply_factors,
     _expansion_work,
+    _pochhammer_coeffs,
     _refuse_above_limit,
     _within_limit,
     eval_eta,
@@ -152,7 +153,7 @@ def family_expression(spec: ColoredFamilySpec) -> EtaExpression:
 
 
 class _SweepMemo:
-    """The series family sweeps have yielded, keyed by (family, k, lane),
+    """The chain members family sweeps have built, keyed by (family, k, lane),
     the lane being the modulus or None for exact.  Each key keeps its
     longest series; the least recently used ones go once the series
     hold more than `capacity` coefficients in all, and a series longer
@@ -171,17 +172,21 @@ class _SweepMemo:
             self._series.clear()
             self.size = 0
 
-    def nearest(self, family: Family, k: int, lane: int | None,
-                order: int) -> tuple[int, TruncatedSeries] | None:
-        """The stored (k', series) with the largest k' <= k whose series
-        reaches the order, or None."""
+    def chain(self, family: Family, lane: int | None, first: int, last: int,
+              order: int) -> tuple[int, TruncatedSeries | None, dict[int, TruncatedSeries]]:
+        """Where a chain through color counts first..last at the order
+        starts: the largest kept k' <= first whose series reaches the
+        order, and that series, which counts as used (0 and None if
+        there is none); and the kept series of every k' < k <= last, by
+        k, whatever their order."""
         with self._lock:
-            for held in range(k, 0, -1):
-                series = self._series.get((family, held, lane))
-                if series is not None and series.order >= order:
-                    self._series.move_to_end((family, held, lane))
-                    return held, series
-        return None
+            kept = {k: series for (f, k, lane_), series in self._series.items()
+                    if f is family and lane_ == lane and k <= last}
+            start = max((k for k, series in kept.items()
+                         if k <= first and series.order >= order), default=0)
+            if start:
+                self._series.move_to_end((family, start, lane))
+        return start, kept.get(start), {k: series for k, series in kept.items() if k > start}
 
     def store(self, family: Family, k: int, lane: int | None,
               series: TruncatedSeries) -> None:
@@ -208,6 +213,16 @@ class _SweepMemo:
 _MEMO = _SweepMemo(2**16)
 
 
+def _family_ratio(family: Family, k0: int, k: int) -> tuple[tuple[int, int], ...]:
+    """The factors of family_expression(k) / family_expression(k0), k0 = 0
+    standing for the series 1."""
+    step = dict(family_expression(ColoredFamilySpec(family, k)).terms[0].factors)
+    if k0:
+        for s, e in family_expression(ColoredFamilySpec(family, k0)).terms[0].factors:
+            step[s] = step.get(s, 0) - e
+    return EtaTerm.make(1, 0, step).factors
+
+
 def _family_sweep(family: Family, ks: Iterable[int], order: int,
                   modulus: int | None = None) -> Iterator[tuple[int, TruncatedSeries]]:
     """Yield (k, the k-colored family's series through the order) for each
@@ -215,19 +230,27 @@ def _family_sweep(family: Family, ks: Iterable[int], order: int,
     eval_eta(..., modulus=modulus).  This is the package's one source of
     family series for the verifiers.
 
-    Every later k is stepped from the one before, k0, by the ratio of
-    their eta-quotients, family_expression(k) / family_expression(k0),
-    through eval_eta's own pass loop (etaq._apply_factors), exactly at
-    any truncation: two passes per color for family a, one for family b.
+    The series form one chain, member k stepped from member k-1 by the
+    ratio of their eta-quotients through eval_eta's own pass loop
+    (etaq._apply_factors), exactly at any truncation: a division by f1
+    from the series 1 to k = 1, then per color a product by f2 and a
+    division by f1 for family a, a division by f2 for family b; so k
+    costs the 2k-1 (or k) passes of expanding it directly.  f1 and f2
+    are built once per sweep, and a run of members that are neither
+    read from the memo, nor kept, nor yielded is crossed by one call.
 
-    Every series the sweep yields is kept in a memo of the process
-    (_MEMO), by family, k and lane, at its longest order.  The chain
-    starts from the kept series with the largest k' <= min(ks) in the
-    same lane that reaches the order, truncated, which is exact; with
-    none, from eval_eta of min(ks).  Expanding a_k directly costs 2k-1
-    passes and b_k costs k, so stepping from k' never costs more, and
-    the chain never restarts.  The memo holds at most 2**16 coefficients
-    and drops the least recently used series first.
+    Every member stepped through is kept in a memo of the process
+    (_MEMO), by family, k and lane, at its longest order; of a chain
+    longer than the memo's capacity // order members, only the newest
+    are kept, as the memo would drop the others first.  The chain starts
+    from the kept member with the largest k' <= min(ks) in the same lane
+    that reaches the order, truncated, which is exact, or else from the
+    series 1.  A later member kept at the order is truncated too; one
+    kept at a shorter order is continued.  Every pass is online,
+    coefficient t depending only on those below t, so the step's
+    product computes only the coefficients past the kept prefix and its
+    division continues the recurrence after it: a request a few
+    coefficients past a kept chain pays for those coefficients only.
 
     Before the memo is read, the work of a direct expansion of the
     largest k, plus one output series per further k, is refused above
@@ -243,20 +266,33 @@ def _family_sweep(family: Family, ks: Iterable[int], order: int,
     m = None if modulus is None else _modulus_value(modulus)
     _refuse_above_limit(_expansion_work(family_expression(last), order)
                         + order * (len(ks) - 1))
-    start = _MEMO.nearest(family, first.colors, m, order)
-    if start is None:
-        k, series = first.colors, eval_eta(family_expression(first), order, m)
-    else:
-        k, series = start[0], start[1].truncate(order)
-    for target in ks:
-        if target > k:
-            step = dict(family_expression(ColoredFamilySpec(family, target)).terms[0].factors)
-            for s, e in family_expression(ColoredFamilySpec(family, k)).terms[0].factors:
-                step[s] = step.get(s, 0) - e
-            k, series = target, TruncatedSeries(_apply_factors(
-                series.coeffs, EtaTerm.make(1, 0, step).factors, order, m))
-        _MEMO.store(family, k, m, series)
-        yield k, series
+    k, series, kept = _MEMO.chain(family, m, first.colors, last.colors, order)
+    coeffs = None if series is None else series.coeffs[:order]
+    if k == first.colors:
+        yield k, series.truncate(order)
+    unit = _family_ratio(family, 1, 2)
+    fks = {s: _pochhammer_coeffs(s, order) for s in (1, 2)}
+    newest = max(k, last.colors - _MEMO.capacity // order)
+    wanted = set(ks)
+    for s in sorted({j for j in (*ks, *kept) if j > k}.union(range(newest + 1, last.colors + 1))):
+        held = kept.get(s)
+        if held is not None and held.order >= order:
+            coeffs = held.coeffs[:order]
+        else:
+            known = () if held is None else held.coeffs
+            if known and s - 1 > k:  # a kept prefix is continued by one color's step
+                coeffs = _apply_factors(coeffs, _family_ratio(family, k, s - 1), order, m,
+                                        (), fks)
+                k = s - 1
+            coeffs = _apply_factors(coeffs, unit if k and s == k + 1 else
+                                    _family_ratio(family, k, s), order, m, known, fks)
+        k = s
+        if k > newest or k in wanted:
+            series = TruncatedSeries(coeffs)
+            if k > newest:
+                _MEMO.store(family, k, m, series)
+            if k in wanted:
+                yield k, series
 
 
 def verify_claim(claim: CongruenceClaim, upto: int,
@@ -472,7 +508,8 @@ def replay_proof(k: int, order: int = 300) -> ProofTrace:
 
     1. frobenius-rewrite: a_k(q^s) = f_2s^(k-1) / f_s^k is multiplied
        by f_s^7 / f_s^7, and f_s^7 == f_7s (mod 7) turns it into the
-       numerator f_2s^(k-1) * f_s^(7-k) over f_7s.
+       numerator f_2s^(k-1) * f_s^(7-k) over f_7s, which divides the
+       expanded numerator once.
     2. theta-substitution: the numerator equals the product of the
        closed-form theta components, exactly.
     3. residue-exclusion: component supports mod 7 stay inside the sets
@@ -495,7 +532,8 @@ def replay_proof(k: int, order: int = 300) -> ProofTrace:
     numerator_expr = EtaExpression.single(1, 0, exponents)
     rewritten_expr = EtaExpression.single(1, 0, {**exponents, 7 * scale: -1})
     numerator = eval_eta(numerator_expr, order)
-    rewritten = eval_eta(rewritten_expr, order)
+    rewritten = TruncatedSeries(_apply_factors(numerator.coeffs, ((7 * scale, -1),),
+                                               order, None))
 
     frobenius_ok = (verify_frobenius(scale, 1, 7, order)
                     and (transformed - rewritten).reduce_mod(7).is_zero())

@@ -367,15 +367,36 @@ _MAX_EXPANSION_WORK = 10**8
 _PASS_OVERHEAD = 40  # a pass at order 1 takes 1-1.5 us; an addition at order 2107, 35-45 ns
 
 
-def _apply_factors(acc: Sequence[int], factors, n: int, m: int | None) -> Sequence[int]:
+def _apply_factors(acc: Sequence[int] | None, factors, n: int, m: int | None,
+                   known: Sequence[int] = (),
+                   fks: Mapping[int, Sequence[int]] | None = None) -> list[int]:
     """acc * prod fk^e through order n, mod m if set, for (k, e) pairs as
-    in EtaTerm.factors: |e| passes of kernels.mul(fk, acc) or
-    kernels.div(acc, fk) each.  eval_eta and the family sweep pass here."""
+    in EtaTerm.factors, acc None standing for the series 1.  eval_eta
+    and the family sweep pass here.
+
+    Each factor costs |e| passes over fk, the products first: each is
+    kernels.mul(fk, acc), or a copy of fk when acc is the series 1; then
+    each quotient kernels.div(acc, fk).  `known`, if given, is a prefix
+    of the result, and the factors are then at most one product and one
+    quotient, the quotient running last: the product computes only the
+    coefficients from len(known) on, all the quotient reads, and the
+    quotient continues its recurrence after the known prefix.  fk is
+    taken from `fks` where it holds k, else built through order n.
+    """
+    factors = sorted(factors, key=lambda f: f[1] < 0)
+    start = len(known)
+    if start:
+        assert [e for _, e in factors] in ([-1], [1, -1]), factors
     for k, e in factors:
-        fk = _pochhammer_coeffs(k, n)
+        fk = fks[k] if fks and k in fks else _pochhammer_coeffs(k, n)
         for _ in range(abs(e)):
-            acc = kernels.mul(fk, acc, n, m) if e > 0 else kernels.div(acc, fk, n, m)
-    return acc
+            if e < 0:
+                acc = kernels.div((1,) if acc is None else acc, fk, n, m, known)
+            elif acc is not None:
+                acc = kernels.mul(fk, acc, n, m, start)
+            else:
+                acc = list(fk) if m is None else [x % m for x in fk]
+    return [1] + [0] * (n - 1) if acc is None else acc
 
 
 def _expansion_work(expr: EtaExpression, order: int) -> int:
@@ -420,9 +441,11 @@ def eval_eta(expr: Union[EtaExpression, str], order: int,
 
     A term c * q^s * prod fk^e is expanded through order N - s (N the
     requested order) by _apply_factors, from the series 1, in sum_k |e_k|
-    passes.  Both kernels work over the nonzero coefficients of fk only,
-    about 2*sqrt(2N/(3k)) of them, each +1 or -1, so a pass costs about
-    N * nnz(fk) integer additions and no multiplications.  An expression
+    passes, products first; the first product is a copy of fk, which
+    _expansion_work still charges as a pass.  Both kernels work over the
+    nonzero coefficients of fk only, about 2*sqrt(2N/(3k)) of them, each
+    +1 or -1, so a pass costs about N * nnz(fk) integer additions and no
+    multiplications.  An expression
     whose output and passes would cost more than _MAX_EXPANSION_WORK
     additions is refused with ValueError before anything is allocated.
 
@@ -443,7 +466,7 @@ def eval_eta(expr: Union[EtaExpression, str], order: int,
         c = term.coefficient if m is None else term.coefficient % m
         if s >= order or not c:
             continue
-        acc = _apply_factors([1] + [0] * (order - s - 1), term.factors, order - s, m)
+        acc = _apply_factors(None, term.factors, order - s, m)
         total[s:] = map(add, total[s:], [c * x for x in acc])
     return TruncatedSeries(total if m is None else [x % m for x in total])
 

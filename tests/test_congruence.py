@@ -244,6 +244,24 @@ def test_replay_proof_families(k, target, sumset):
         "frobenius-rewrite", "theta-substitution", "residue-exclusion"]
 
 
+@pytest.mark.parametrize("k", [1, 3, 4, 5, 7])
+def test_replay_proof_divides_the_numerator_once(k, kernel_passes):
+    # a_k is kept, so the replay's sweep makes no pass; beyond the
+    # Frobenius check, the numerator f_2s^(k-1) * f_s^(7-k) costs a copy
+    # of its first factor and five products, the product of the two theta
+    # components one more, and the rewrite one division
+    scale = congruence._RECIPES[k][0]
+    list(congruence._family_sweep(Family.ODD_COLORED, [k], 300))
+    kernel_passes.clear()
+    verify_frobenius(scale, 1, 7, 300)
+    frobenius = [name for name, _ in kernel_passes]
+    kernel_passes.clear()
+    replay_proof(k, 300)
+    replay = [name for name, _ in kernel_passes]
+    assert replay.count("mul") == frobenius.count("mul") + 6
+    assert replay.count("div") == frobenius.count("div") + 1
+
+
 def test_replay_proof_component_supports():
     trace = replay_proof(7, 100)
     # doubled Jacobi-cube residues

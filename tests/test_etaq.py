@@ -174,6 +174,12 @@ def test_eval_modular_with_shifted_terms():
     assert eval_eta(text, 90, modulus=7) == eval_eta(text, 90).reduce_mod(7)
 
 
+def test_eval_starts_each_term_from_its_first_product(kernel_passes):
+    # products run first, and the first one, over the series 1, is a copy of f1
+    assert eval_eta("f1^2/f2^3", 50) == eval_eta("1/f2^3", 50) * pochhammer_f(1, 50) ** 2
+    assert [name for name, _ in kernel_passes[:4]] == ["mul", "div", "div", "div"]
+
+
 def test_eval_rejects_bad_order():
     with pytest.raises(ValueError):
         eval_eta("f1", 0)

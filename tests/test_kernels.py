@@ -46,6 +46,43 @@ def test_div_against_oracle():
             assert _kernels_py.div(a, b, n, m) == expected
 
 
+def _lengths(rng, n, lb):
+    """Start or prefix lengths: 0, n, len(b), and some inside and past both."""
+    return sorted({0, n, lb, rng.randint(0, n), lb + rng.randint(1, 9), n + rng.randint(1, 9)})
+
+
+def test_mul_from_start_against_oracle():
+    rng = random.Random(3)
+    for m in MODULI:
+        for _ in range(60):
+            n = rng.randint(1, 40)
+            a = [rng.choice([0, 0, 1, -1, rng.randint(-99, 99)])
+                 for _ in range(rng.randint(1, 50))]
+            a[0] = rng.choice([1, a[0]])  # the copy of b for a[0] = 1 starts late too
+            b = [rng.randint(-99, 99) for _ in range(rng.randint(1, 50))]
+            full = _reduced(poly_mul(a, b, n), m)
+            for start in _lengths(rng, n, len(b)):
+                out = _kernels_py.mul(a, b, n, m, start)
+                assert out == [0] * min(start, n) + full[start:]
+
+
+def test_div_continues_a_known_quotient():
+    rng = random.Random(4)
+    for m in MODULI:
+        for _ in range(60):
+            n = rng.randint(1, 40)
+            a = [rng.randint(-99, 99) for _ in range(rng.randint(1, 50))]
+            b = [rng.choice([0, 0, 1, -1, rng.randint(-99, 99)])
+                 for _ in range(rng.randint(1, 50))]
+            b[0] = rng.choice([1, -1])
+            full = _reduced(poly_mul(a, poly_inv(b, n), n), m)
+            for p in _lengths(rng, n, len(b)):
+                known = (full + [rng.randint(-99, 99) for _ in range(p - n)])[:p]
+                # a is read only from the prefix's length on
+                garbled = [rng.randint(-99, 99) for _ in a[:p]] + a[p:]
+                assert _kernels_py.div(garbled, b, n, m, known) == full
+
+
 def test_mul_accepts_tuples():
     assert _kernels_py.mul((1, 1), (1, -1), 2) == [1, 0]
 

@@ -18,6 +18,7 @@ import sys
 import threading
 from functools import lru_cache
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -197,6 +198,13 @@ def _memo_within_bound():
 @example(calls=[("scan", Family.EVEN_COLORED, [2, 5], 13, 60, True),
                 ("claim", Family.EVEN_COLORED, 7, 13, 3, 40, True),
                 ("sweep", Family.EVEN_COLORED, [1, 6], 1, 13)])
+# orders that rise from call to call, so that kept series are continued
+@example(calls=[("sweep", Family.ODD_COLORED, [2, 5], 40, None),
+                ("sweep", Family.ODD_COLORED, [1, 5], 90, None),
+                ("claim", Family.ODD_COLORED, 4, 7, 4, 20, False),
+                ("sweep", Family.EVEN_COLORED, [3], 50, 7),
+                ("scan", Family.EVEN_COLORED, [1, 4], 7, 55, True),
+                ("sweep", Family.EVEN_COLORED, [2, 6], 400, 7)])
 def test_memo_keeps_every_result(calls):
     congruence._MEMO.clear()
     for call in calls:
@@ -211,6 +219,22 @@ def test_memo_keeps_every_result(calls):
     for (family, k, m), series in congruence._MEMO._series.items():
         expr = family_expression(ColoredFamilySpec(family, k))
         assert series == eval_eta(expr, series.order, modulus=m)
+
+
+@pytest.mark.parametrize("family", list(Family))
+@pytest.mark.parametrize("m", [None, 7])
+def test_sweep_continues_kept_series(family, m, kernel_passes):
+    list(_family_sweep(family, [1, 4], 100, m))
+    kernel_passes.clear()
+    swept = list(_family_sweep(family, [2, 4], 130, m))
+    # members 1 to 4 are continued from order 100: one division each,
+    # and for family a one product each from member 2 on, each pass
+    # computing only the 30 new coefficients
+    passes = 7 if family is Family.ODD_COLORED else 4
+    assert [n for _, n in kernel_passes] == [30] * passes
+    for k, series in swept:
+        assert series == eval_eta(family_expression(ColoredFamilySpec(family, k)), 130,
+                                  modulus=m)
 
 
 def test_memo_bound_and_eviction(monkeypatch):
