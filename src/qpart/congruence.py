@@ -152,12 +152,20 @@ def family_expression(spec: ColoredFamilySpec) -> EtaExpression:
     return EtaExpression.single(1, 0, {1: -1, 2: -(k - 1)})
 
 
+def _memo_key(family: Family, k: int, lane: int | None) -> tuple[Family, int, int | None]:
+    """The memo key of member k of the family in the lane: both families'
+    member 1 is 1/f1, kept once under family a."""
+    return (Family.ODD_COLORED if k == 1 else family, k, lane)
+
+
 class _SweepMemo:
-    """The chain members family sweeps have built, keyed by (family, k, lane),
-    the lane being the modulus or None for exact.  Each key keeps its
-    longest series; the least recently used ones go once the series
-    hold more than `capacity` coefficients in all, and a series longer
-    than that is never stored.  A lock keeps the bookkeeping whole when
+    """The chain members family sweeps have built, keyed by _memo_key:
+    (family, k, lane), the lane being the modulus or None for exact,
+    with one entry for 1/f1, member 1 of either family, so that a chain
+    of either family can start from it.  Each key keeps its longest
+    series; the least recently used ones go once the series hold more
+    than `capacity` coefficients in all, and a series longer than that
+    is never stored.  A lock keeps the bookkeeping whole when
     threads share the memo."""
 
     def __init__(self, capacity: int):
@@ -181,16 +189,16 @@ class _SweepMemo:
         k, whatever their order."""
         with self._lock:
             kept = {k: series for (f, k, lane_), series in self._series.items()
-                    if f is family and lane_ == lane and k <= last}
+                    if k <= last and (f, k, lane_) == _memo_key(family, k, lane)}
             start = max((k for k, series in kept.items()
                          if k <= first and series.order >= order), default=0)
             if start:
-                self._series.move_to_end((family, start, lane))
+                self._series.move_to_end(_memo_key(family, start, lane))
         return start, kept.get(start), {k: series for k, series in kept.items() if k > start}
 
     def store(self, family: Family, k: int, lane: int | None,
               series: TruncatedSeries) -> None:
-        key = (family, k, lane)
+        key = _memo_key(family, k, lane)
         with self._lock:
             old = self._series.get(key)
             if old is not None and old.order >= series.order:
@@ -240,13 +248,15 @@ def _family_sweep(family: Family, ks: Iterable[int], order: int,
     read from the memo, nor kept, nor yielded is crossed by one call.
 
     Every member stepped through is kept in a memo of the process
-    (_MEMO), by family, k and lane, at its longest order; of a chain
-    longer than the memo's capacity // order members, only the newest
-    are kept, as the memo would drop the others first.  The chain starts
+    (_MEMO), by family, k and lane, at its longest order; member 1 is
+    1/f1 in both families and is kept once for both.  Of a chain longer
+    than the memo's capacity // order members, only the newest are
+    kept, as the memo would drop the others first.  The chain starts
     from the kept member with the largest k' <= min(ks) in the same lane
     that reaches the order, truncated, which is exact, or else from the
-    series 1.  A later member kept at the order is truncated too; one
-    kept at a shorter order is continued.  Every pass is online,
+    series 1; so a chain of either family starts from a kept 1/f1.  A
+    later member kept at the order is truncated too; one kept at a
+    shorter order is continued.  Every pass is online,
     coefficient t depending only on those below t, so the step's
     product computes only the coefficients past the kept prefix and its
     division continues the recurrence after it: a request a few
@@ -310,6 +320,7 @@ def verify_claim(claim: CongruenceClaim, upto: int,
     With `modular` set the expansion runs mod the claim modulus (faster;
     a counterexample value is then only known as a residue).
     """
+    upto = _int_value(upto, "upto")
     if upto < 1:
         raise ValueError("upto must be >= 1")
     m, r = claim.modulus, claim.residue
@@ -363,6 +374,7 @@ def verify_mod7_lifts(j_max: int, upto: int = 100) -> list[ClaimReport]:
     2*(7*j_max + 7) - 1 passes in all, where expanding each row on its
     own would cost 2k - 1 passes per row (13 against 35 for j_max = 0).
     """
+    j_max, upto = _int_value(j_max, "j_max"), _int_value(upto, "upto")
     if j_max < 0:
         raise ValueError("j_max must be >= 0")
     if upto < 1:
@@ -412,6 +424,7 @@ class DissectionReport:
 
 def dissected_component(upto: int) -> TruncatedSeries:
     """sum_n a_3(7n+2) q^n through order upto (plus one guard coefficient)."""
+    upto = _int_value(upto, "upto")
     _, base = next(_family_sweep(Family.ODD_COLORED, [3], 7 * upto + 3))
     return base.dissect(7, 2)
 
@@ -419,6 +432,7 @@ def dissected_component(upto: int) -> TruncatedSeries:
 def verify_dissection_identity(upto: int = 100) -> DissectionReport:
     """Exact coefficientwise comparison of the dissected 3-colored series
     against the parsed eight-term eta-quotient sum, through order upto."""
+    upto = _int_value(upto, "upto")
     if upto < 1:
         raise ValueError("upto must be >= 1")
     lhs = dissected_component(upto)
@@ -442,18 +456,32 @@ def _is_prime(p: int) -> bool:
     return True
 
 
+def _frobenius_difference(a: int, b: int, p: int) -> EtaExpression:
+    return EtaExpression((EtaTerm.make(1, 0, {a: b * p}), EtaTerm.make(-1, 0, {a * p: b})))
+
+
 def verify_frobenius(a: int, b: int, p: int, order: int = 300) -> bool:
-    """Check f_a^(b*p) == f_(a*p)^b (mod p) through the given order."""
+    """Check f_a^(b*p) == f_(a*p)^b (mod p) through the given order.
+
+    The verdict is kept per (a, b, p, order) for the life of the process
+    (_frobenius_verdict), so a check repeated, as f_s^7 == f_7s (mod 7)
+    is by the proof replays, runs its passes once.  The map is read only
+    after the arguments are taken as integers, the work is checked
+    against the expansion limit and p is found prime.
+    """
     a, b, p, order = map(_int_value, (a, b, p, order), ("a", "b", "p", "order"))
     if a < 1 or b < 1:
         raise ValueError("need a >= 1 and b >= 1")
     if p > 1:  # trial division takes up to sqrt(p) steps: refuse too much work first
-        difference = EtaExpression((EtaTerm.make(1, 0, {a: b * p}),
-                                    EtaTerm.make(-1, 0, {a * p: b})))
-        _refuse_above_limit(_expansion_work(difference, order))
+        _refuse_above_limit(_expansion_work(_frobenius_difference(a, b, p), order))
     if not _is_prime(p):
         raise ValueError(f"p must be prime, got {p}")
-    return eval_eta(difference, order, modulus=p).is_zero()
+    return _frobenius_verdict(a, b, p, order)
+
+
+@lru_cache(maxsize=64)
+def _frobenius_verdict(a: int, b: int, p: int, order: int) -> bool:
+    return eval_eta(_frobenius_difference(a, b, p), order, modulus=p).is_zero()
 
 
 # ---------------------------------------------------------------------------
@@ -517,6 +545,7 @@ def replay_proof(k: int, order: int = 300) -> ProofTrace:
        misses the target class, and the actual reduced series respect
        the same inclusions (inclusion is all the argument needs).
     """
+    k, order = _int_value(k, "k"), _int_value(order, "order")
     if k not in _RECIPES:
         raise UnsupportedFamilyError(
             f"no replayable proof for k={k}; built-in rows have k in "
@@ -604,6 +633,7 @@ def scan(k_values: Iterable[int], modulus: int, upto: int,
     and family b max(k), where expanding each k on its own would cost
     2k - 1 (or k) passes per k.  Each series is checked in all m classes.
     """
+    upto = _int_value(upto, "upto")
     if upto < 50:
         raise ValueError("scan needs upto >= 50 to be worth reporting")
     if modulus < 2:

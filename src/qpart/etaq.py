@@ -399,14 +399,23 @@ def _apply_factors(acc: Sequence[int] | None, factors, n: int, m: int | None,
     return [1] + [0] * (n - 1) if acc is None else acc
 
 
+def _pass_work(k: int, n: int) -> int:
+    """Coefficient additions charged for one pass over fk through order n:
+    n times fk's 1 + 2*isqrt(2n/(3k)) nonzeros, plus _PASS_OVERHEAD."""
+    return n * (1 + 2 * isqrt(2 * n // (3 * k))) + _PASS_OVERHEAD
+
+
 def _expansion_work(expr: EtaExpression, order: int) -> int:
-    """Coefficient additions eval_eta spends on expr through the order."""
+    """Coefficient additions of expanding each term of expr on its own
+    through the order: the output, and per term c * q^s * prod fk^e the
+    N - s coefficients it adds and |e| passes over fk through N - s.
+    eval_eta's shared factors are chosen so that their passes, charged
+    the same way, never cost more, so this bounds what it spends."""
     work = order  # the output list
     for term in expr.terms:
         n = order - term.q_shift
-        if n > 0:  # n to accumulate, |e| passes over fk's 1 + 2*isqrt(2n/(3k)) nonzeros
-            work += n + sum(abs(e) * (n * (1 + 2 * isqrt(2 * n // (3 * k))) + _PASS_OVERHEAD)
-                            for k, e in term.factors)
+        if n > 0:
+            work += n + sum(abs(e) * _pass_work(k, n) for k, e in term.factors)
     return work
 
 
@@ -428,6 +437,7 @@ def _pochhammer_coeffs(k: int, order: int) -> tuple[int, ...]:
 
 def pochhammer_f(k: int, order: int) -> TruncatedSeries:
     """Expansion of fk = (q^k; q^k)_infinity through the given order."""
+    k, order = _int_value(k, "scale k"), _int_value(order, "order")
     if k < 1:
         raise ValueError("scale k must be >= 1")
     if order < 1:
@@ -435,19 +445,59 @@ def pochhammer_f(k: int, order: int) -> TruncatedSeries:
     return TruncatedSeries(_pochhammer_coeffs(k, order))
 
 
+def _shared_factors(terms: Sequence[EtaTerm], order: int) -> tuple[tuple[int, int], ...]:
+    """Per scale k, the exponent g of the factor fk^g that eval_eta
+    applies once to the sum of the terms, from the lowest q-shift s0 on,
+    while each term c * q^s * prod fk^e is expanded with fk^(e - g)
+    through order - s.  g minimizes |g| * w0 + sum |e - g| * w, where w0
+    is _pass_work through order - s0 and w that through the term's
+    order - s: a median of 0 and the exponents (0 where a term lacks k)
+    weighted by those charges, the one nearer 0 on a tie.  g = 0 is a
+    candidate, so the passes never cost more than expanding each term on
+    its own; a single term shares nothing."""
+    if len(terms) < 2:
+        return ()
+    s0 = min(term.q_shift for term in terms)
+    exponents = [(dict(term.factors), order - term.q_shift) for term in terms]
+    shared = []
+    for k in sorted({k for e, _ in exponents for k in e}):
+        points = sorted([(0, _pass_work(k, order - s0)),
+                         *((e.get(k, 0), _pass_work(k, n)) for e, n in exponents)])
+        half = sum(w for _, w in points)
+        below = 0
+        for i, (g, w) in enumerate(points):
+            below += 2 * w
+            if below >= half:
+                break
+        if below == half:  # every exponent from g to the next one is a median
+            g = min(g, points[i + 1][0], key=abs)
+        if g:
+            shared.append((k, g))
+    return tuple(shared)
+
+
 def eval_eta(expr: Union[EtaExpression, str], order: int,
              modulus: int | None = None) -> TruncatedSeries:
     """Expand an eta-quotient expression through the given order.
 
-    A term c * q^s * prod fk^e is expanded through order N - s (N the
-    requested order) by _apply_factors, from the series 1, in sum_k |e_k|
-    passes, products first; the first product is a copy of fk, which
-    _expansion_work still charges as a pass.  Both kernels work over the
-    nonzero coefficients of fk only, about 2*sqrt(2N/(3k)) of them, each
-    +1 or -1, so a pass costs about N * nnz(fk) integer additions and no
-    multiplications.  An expression
-    whose output and passes would cost more than _MAX_EXPANSION_WORK
-    additions is refused with ValueError before anything is allocated.
+    The terms c * q^s * prod fk^e with s below the order and c nonzero
+    (mod the modulus, if set) share the factors prod fk^g of
+    _shared_factors.  Each such term's remaining factors fk^(e - g) are
+    expanded through order N - s (N the requested order) by
+    _apply_factors, from the series 1, products first, the first
+    product being a copy of fk; the terms are summed, and the sum from
+    q^s0 on, s0 the lowest shift among them, is multiplied by the
+    shared factors once, through order N - s0.  Truncation mod q^N is a
+    ring homomorphism and every division is by fk's constant term 1, so
+    this is exact.  The shared factors are chosen so that the passes,
+    each charged by its length, cost no more than expanding each term
+    on its own, which _expansion_work charges; a single term runs
+    exactly those passes.  Both kernels work over the nonzero
+    coefficients of fk only, about 2*sqrt(2N/(3k)) of them, each +1 or
+    -1, so a pass costs about N * nnz(fk) integer additions and no
+    multiplications.  An expression whose output and passes would cost
+    more than _MAX_EXPANSION_WORK additions is refused with ValueError
+    before anything is allocated.
 
     With `modulus` set, every pass reduces into 0..modulus-1.  Nothing
     is divided by anything but fk's constant term 1, so this holds for
@@ -456,19 +506,29 @@ def eval_eta(expr: Union[EtaExpression, str], order: int,
     """
     if isinstance(expr, str):
         expr = parse_eta(expr)
+    order = _int_value(order, "order")
     if order < 1:
         raise ValueError("order must be >= 1")
     m = None if modulus is None else _modulus_value(modulus)
     _refuse_above_limit(_expansion_work(expr, order))
+    terms = [term for term in expr.terms if term.q_shift < order
+             and (term.coefficient if m is None else term.coefficient % m)]
+    shared = _shared_factors(terms, order)
     total = [0] * order
-    for term in expr.terms:
+    for term in terms:
         s = term.q_shift
         c = term.coefficient if m is None else term.coefficient % m
-        if s >= order or not c:
-            continue
-        acc = _apply_factors(None, term.factors, order - s, m)
+        rest = dict(term.factors)
+        for k, g in shared:
+            rest[k] = rest.get(k, 0) - g
+        acc = _apply_factors(None, [(k, e) for k, e in rest.items() if e], order - s, m)
         total[s:] = map(add, total[s:], [c * x for x in acc])
-    return TruncatedSeries(total if m is None else [x % m for x in total])
+    if m is not None:
+        total = [x % m for x in total]
+    if shared:  # every term starts at q^s0 or later
+        s0 = min(term.q_shift for term in terms)
+        total[s0:] = _apply_factors(total[s0:], shared, order - s0, m)
+    return TruncatedSeries(total)
 
 
 # ---------------------------------------------------------------------------
@@ -546,6 +606,7 @@ def _theta_form(family: ThetaFamily) -> _ClosedForm:
 
 def theta_series(family: ThetaFamily, order: int) -> TruncatedSeries:
     """The family's closed-form sum (see _CLOSED_FORMS) through the order."""
+    order = _int_value(order, "order")
     if order < 1:
         raise ValueError("order must be >= 1")
     return TruncatedSeries(_closed_form(_theta_form(family), order))

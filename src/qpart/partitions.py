@@ -157,6 +157,7 @@ def _count_table(spec: ColoredFamilySpec, order: int) -> list[int]:
 
 def count(spec: ColoredFamilySpec, n: int) -> int:
     """Number of colored partitions of n under the spec."""
+    n = _int_value(n, "n")
     if n < 0:
         raise ValueError("n must be >= 0")
     return _count_table(spec, n + 1)[n]
@@ -164,6 +165,7 @@ def count(spec: ColoredFamilySpec, n: int) -> int:
 
 def oracle_series(spec: ColoredFamilySpec, order: int) -> TruncatedSeries:
     """Generating series of the family, built purely from the counts."""
+    order = _int_value(order, "order")
     if order < 1:
         raise ValueError("order must be >= 1")
     return TruncatedSeries(_count_table(spec, order))

@@ -5,9 +5,11 @@ from qpart import _kernels_py, congruence
 
 @pytest.fixture(autouse=True)
 def cold_sweep_memo():
-    """Start every test with an empty family-sweep memo, so that no result
-    depends on which tests ran before it."""
+    """Start every test with an empty family-sweep memo and no kept
+    Frobenius verdict, so that no result depends on which tests ran
+    before it."""
     congruence._MEMO.clear()
+    congruence._frobenius_verdict.cache_clear()
     yield
 
 

@@ -22,8 +22,15 @@ from qpart.congruence import (
     verify_mod7_family,
     verify_mod7_lifts,
 )
-from qpart.etaq import _expansion_work, eval_eta, format_eta
-from qpart.partitions import ColoredFamilySpec, Family, count
+from qpart.etaq import (
+    ThetaFamily,
+    _expansion_work,
+    eval_eta,
+    format_eta,
+    pochhammer_f,
+    theta_series,
+)
+from qpart.partitions import ColoredFamilySpec, Family, count, oracle_series
 
 
 def a(k):
@@ -211,6 +218,36 @@ def test_frobenius_and_lift_refuse_non_integers():
             lift_factorization_holds(*args)
 
 
+@pytest.mark.parametrize("call", [
+    lambda x: eval_eta("f1", x),
+    lambda x: pochhammer_f(1, x),
+    lambda x: pochhammer_f(x, 10),
+    lambda x: theta_series(ThetaFamily.JACOBI_CUBE, x),
+    lambda x: verify_claim(CongruenceClaim(a(1), 7, 5), x),
+    lambda x: verify_mod7_family(x),
+    lambda x: verify_mod7_lifts(x, 10),
+    lambda x: verify_mod7_lifts(0, x),
+    lambda x: verify_dissection_identity(x),
+    lambda x: dissected_component(x),
+    lambda x: scan([1], 7, x),
+    lambda x: count(a(1), x),
+    lambda x: oracle_series(a(1), x),
+    lambda x: verify_frobenius(1, 1, 7, x),
+    lambda x: lift_factorization_holds(1, 1, x),
+    lambda x: replay_proof(x),
+    lambda x: replay_proof(1, x),
+], ids=["eval_eta", "pochhammer_f-order", "pochhammer_f-k", "theta_series", "verify_claim",
+        "verify_mod7_family", "verify_mod7_lifts-j_max", "verify_mod7_lifts-upto",
+        "verify_dissection_identity", "dissected_component", "scan", "count",
+        "oracle_series", "verify_frobenius", "lift_factorization_holds", "replay_proof-k",
+        "replay_proof-order"])
+def test_orders_ranges_and_counts_refuse_non_integers(call):
+    # a bool or a float is refused, not taken as 1 or truncated
+    for bad in (True, 60.0):
+        with pytest.raises(TypeError):
+            call(bad)
+
+
 def test_frobenius_rejects_composite():
     with pytest.raises(ValueError):
         verify_frobenius(1, 1, 6, 50)
@@ -255,11 +292,31 @@ def test_replay_proof_divides_the_numerator_once(k, kernel_passes):
     kernel_passes.clear()
     verify_frobenius(scale, 1, 7, 300)
     frobenius = [name for name, _ in kernel_passes]
+    congruence._frobenius_verdict.cache_clear()  # so that the replay runs the check
     kernel_passes.clear()
     replay_proof(k, 300)
     replay = [name for name, _ in kernel_passes]
     assert replay.count("mul") == frobenius.count("mul") + 6
     assert replay.count("div") == frobenius.count("div") + 1
+
+
+@pytest.mark.parametrize("k", [1, 3, 4, 5, 7])
+def test_second_replay_reuses_the_frobenius_verdict(k, kernel_passes):
+    first = replay_proof(k, 300)
+    kernel_passes.clear()
+    assert replay_proof(k, 300) == first
+    # the numerator, the theta product and the rewrite: no Frobenius pass
+    replay = [name for name, _ in kernel_passes]
+    assert (replay.count("mul"), replay.count("div")) == (6, 1)
+
+
+def test_frobenius_verdict_is_read_after_the_arguments_are_checked():
+    assert verify_frobenius(1, 1, 7)
+    assert congruence._frobenius_verdict.cache_info().currsize == 1
+    with pytest.raises(TypeError):
+        verify_frobenius(True, 1, 7)  # equal to the kept key (1, 1, 7, 300)
+    with pytest.raises(ValueError):
+        verify_frobenius(1, 1, 1)
 
 
 def test_replay_proof_component_supports():

@@ -5,9 +5,11 @@ import tracemalloc
 
 import pytest
 
+from qpart.congruence import dissection_rhs
 from qpart.etaq import (
     _EULER,
     THETA_PRODUCT_FORM,
+    EtaExpression,
     ThetaFamily,
     eval_eta,
     pochhammer_f,
@@ -178,6 +180,41 @@ def test_eval_starts_each_term_from_its_first_product(kernel_passes):
     # products run first, and the first one, over the series 1, is a copy of f1
     assert eval_eta("f1^2/f2^3", 50) == eval_eta("1/f2^3", 50) * pochhammer_f(1, 50) ** 2
     assert [name for name, _ in kernel_passes[:4]] == ["mul", "div", "div", "div"]
+
+
+def test_eval_keeps_the_passes_of_a_single_term(kernel_passes):
+    eval_eta("f1^2/f2^3", 50)
+    assert kernel_passes == [("mul", 50), ("div", 50), ("div", 50), ("div", 50)]
+
+
+def test_eval_factors_shared_powers_out_of_the_dissection_sum(kernel_passes):
+    expr = dissection_rhs()
+    # every coefficient is a multiple of 7, so mod 7 no term contributes
+    for m in (None, 7, 11):
+        kernel_passes.clear()
+        total = eval_eta(expr, 100, modulus=m)
+        # each of the eight terms starts from a copy of fk, which is a
+        # pass too, but no kernel call: 195 passes, where expanding the
+        # terms one by one runs 416
+        assert len(expr.terms) + len(kernel_passes) <= 195
+        alone = [eval_eta(EtaExpression((term,)), 100, modulus=m) for term in expr.terms]
+        summed = TruncatedSeries([sum(c) for c in zip(*alone)])
+        assert total == (summed if m is None else summed.reduce_mod(m))
+
+
+def test_eval_shares_factors_of_shifted_terms_from_their_lowest_shift(kernel_passes):
+    alone = eval_eta("q^95/f1^40", 100)
+    kernel_passes.clear()
+    # f1^-40 is shared, and applied once from q^95 on: 40 passes of 5
+    # coefficients, where each term on its own runs 40 of them
+    assert eval_eta("q^95/f1^40 + 2*q^95/f1^40", 100) == 3 * alone
+    assert kernel_passes == [("div", 5)] * 40
+    expected = eval_eta("1/f1", 100) + 6 * eval_eta("q^90/f1^20", 100)
+    kernel_passes.clear()
+    # the long term and the shared factor, each charged passes through
+    # 100, outweigh the three short terms: only f1^-1 is shared
+    assert eval_eta("1/f1 + q^90/f1^20 + 2*q^90/f1^20 + 3*q^90/f1^20", 100) == expected
+    assert sorted(kernel_passes) == [("div", 10)] * 57 + [("div", 100)]
 
 
 def test_eval_rejects_bad_order():

@@ -5,7 +5,10 @@ Random bounded eta expressions (1-3 terms, scales 1-6, exponents
 `eval_eta` and compared with a dense reference product built only from
 `oracles.py`, with the exact expansion reduced mod m, and, for the
 colored families, with the partition counts, which are themselves
-compared with a knapsack count.  The family sweep, which steps
+compared with a knapsack count.  Sums of 2-5 terms with q-shifts up
+to 120 are compared with the same reference, and the passes `eval_eta`
+runs for them, charged by their lengths, with the charge of expanding
+each term on its own.  The family sweep, which steps
 from one color count to the next, is compared with `eval_eta` for every
 k it yields; random sequences of verifier calls, which share series
 through the sweep's memo, are compared with the same calls on an empty
@@ -17,12 +20,13 @@ capped, so every run checks the same inputs.
 import sys
 import threading
 from functools import lru_cache
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qpart import congruence
+from qpart import congruence, etaq
 from qpart.congruence import (
     CongruenceClaim,
     _family_sweep,
@@ -64,6 +68,13 @@ terms = st.builds(
 expressions = st.lists(terms, min_size=1, max_size=3).map(
     lambda ts: EtaExpression(tuple(ts)))
 
+# q-shifts anywhere below MAX_ORDER, so that terms expand to very
+# different lengths
+shifted_expressions = st.lists(
+    st.builds(EtaTerm.make, coefficient=st.integers(-9, 9), q_shift=st.integers(0, MAX_ORDER),
+              factors=st.dictionaries(scales, st.integers(-8, 8), max_size=3)),
+    min_size=2, max_size=5).map(lambda ts: EtaExpression(tuple(ts)))
+
 SCALE_PAST_ORDER = EtaExpression.single(-2, 0, {1: 2, 6: -3})
 SHIFT_PAST_ORDER = EtaExpression((EtaTerm.make(3, 5, {1: -6}), EtaTerm.make(1, 1, {2: 1})))
 
@@ -103,6 +114,28 @@ def test_pochhammer_matches_finite_product(k, order):
 @example(expr=SHIFT_PAST_ORDER, order=1)
 def test_exact_engine_matches_dense_reference(expr, order):
     assert list(eval_eta(expr, order)) == dense_reference(expr, order)
+
+
+@checked
+@given(expr=shifted_expressions, order=st.integers(1, MAX_ORDER))
+def test_shared_factors_cost_no_more_than_single_terms(expr, order):
+    """eval_eta's passes, each charged by _pass_work at its length, cost
+    no more than _expansion_work charges for expanding each term on its
+    own, so that charge bounds what eval_eta spends."""
+    charged = []
+    apply_factors = etaq._apply_factors
+
+    def counted(acc, factors, n, m, *rest):
+        factors = list(factors)
+        charged.append(sum(abs(e) * etaq._pass_work(k, n) for k, e in factors))
+        return apply_factors(acc, factors, n, m, *rest)
+
+    with mock.patch.object(etaq, "_apply_factors", counted):
+        assert list(eval_eta(expr, order)) == dense_reference(expr, order)
+    alone = sum(abs(e) * etaq._pass_work(k, order - term.q_shift)
+                for term in expr.terms if term.q_shift < order and term.coefficient
+                for k, e in term.factors)
+    assert sum(charged) <= alone
 
 
 @checked
@@ -237,18 +270,39 @@ def test_sweep_continues_kept_series(family, m, kernel_passes):
                                   modulus=m)
 
 
+@pytest.mark.parametrize("m", [None, 7])
+def test_both_families_start_from_one_kept_inverse_of_f1(m, kernel_passes):
+    def sweep(family, ks):
+        kernel_passes.clear()
+        swept = list(_family_sweep(family, ks, 120, m))
+        passes = list(kernel_passes)
+        for k, series in swept:
+            assert series == eval_eta(family_expression(ColoredFamilySpec(family, k)), 120,
+                                      modulus=m)
+        return passes
+
+    list(_family_sweep(Family.ODD_COLORED, [1], 120, m))
+    # b_2 = a_1 / f2: one division, from the kept a_1
+    assert sweep(Family.EVEN_COLORED, [2]) == [("div", 120)]
+    congruence._MEMO.clear()
+    list(_family_sweep(Family.EVEN_COLORED, [1], 100, m))
+    # a_3 from the kept b_1: a_1 continued by 20 coefficients, then two
+    # colors of a product by f2 and a division by f1
+    assert sweep(Family.ODD_COLORED, [1, 3]) == [("div", 20)] + [("mul", 120), ("div", 120)] * 2
+
+
 def test_memo_bound_and_eviction(monkeypatch):
     monkeypatch.setattr(congruence._MEMO, "capacity", 300)
     list(_family_sweep(Family.ODD_COLORED, [1, 2], 100))
     list(_family_sweep(Family.EVEN_COLORED, [1], 100, 7))
     kept = congruence._MEMO._series
     assert list(kept) == [(Family.ODD_COLORED, 1, None), (Family.ODD_COLORED, 2, None),
-                          (Family.EVEN_COLORED, 1, 7)]
+                          (Family.ODD_COLORED, 1, 7)]
     # a_1 is used again, so a_2 is now the least recently used and goes
     # first; b_2 starts from b_1, which is used again too
     list(_family_sweep(Family.ODD_COLORED, [1], 50))
     list(_family_sweep(Family.EVEN_COLORED, [2], 100, 7))
-    assert list(kept) == [(Family.ODD_COLORED, 1, None), (Family.EVEN_COLORED, 1, 7),
+    assert list(kept) == [(Family.ODD_COLORED, 1, None), (Family.ODD_COLORED, 1, 7),
                           (Family.EVEN_COLORED, 2, 7)]
     assert congruence._MEMO.size == 300
     # a series longer than the bound is never kept, nor does it evict anything
@@ -257,7 +311,7 @@ def test_memo_bound_and_eviction(monkeypatch):
     # a longer series of a kept k replaces the shorter one
     list(_family_sweep(Family.EVEN_COLORED, [1], 150, 7))
     assert [(key, s.order) for key, s in kept.items()] == [
-        ((Family.EVEN_COLORED, 2, 7), 100), ((Family.EVEN_COLORED, 1, 7), 150)]
+        ((Family.EVEN_COLORED, 2, 7), 100), ((Family.ODD_COLORED, 1, 7), 150)]
     assert congruence._MEMO.size == 250
 
 
