@@ -2,7 +2,10 @@
 
 Subcommands: expand, count, enumerate, verify, scan.  Exit codes:
 0 = everything requested holds, 1 = a counterexample or mismatch was
-found, 2 = usage or parse error.  Each subcommand computes its answer
+found, 2 = usage or parse error, 141 = the reader closed standard
+output before the answer was written (`qpart ... | head`), the code a
+shell reports for a command ended by SIGPIPE; the run then stops with
+no message.  Each subcommand computes its answer
 once and hands it to `_emit`, the only code that prints an answer and
 the only code that knows the text, json and csv formats.  Output is
 deterministic; exact coefficients always print as full decimal strings.
@@ -18,6 +21,7 @@ import argparse
 import csv
 import functools
 import json
+import os
 import sys
 from typing import Iterable, Sequence
 
@@ -44,6 +48,8 @@ from .partitions import (
 )
 
 _FIXTURES = {"theorem13": dissection_rhs_text}
+
+EXIT_CLOSED_PIPE = 141  # 128 + SIGPIPE
 
 
 def _flag(value: bool) -> str:
@@ -323,11 +329,19 @@ def main(argv: Sequence[str] | None = None) -> int:
     The parser is built on the first call in a process and reused after
     that; parsing keeps no state between calls, so `main` may be called
     any number of times in one process.  Usage errors and --help raise
-    SystemExit, as argparse does.
+    SystemExit, as argparse does.  If standard output is closed before
+    the answer is written, it returns EXIT_CLOSED_PIPE and points
+    standard output at os.devnull, so that what is left unwritten is
+    dropped, also by the flush at exit.
     """
     args = _parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_CLOSED_PIPE
     except ValueError as exc:  # every refusal type of the package subclasses it
         print(f"qpart: {exc}", file=sys.stderr)
         return 2

@@ -381,7 +381,9 @@ def _apply_factors(acc: Sequence[int] | None, factors, n: int, m: int | None,
     quotient, the quotient running last: the product computes only the
     coefficients from len(known) on, all the quotient reads, and the
     quotient continues its recurrence after the known prefix.  fk is
-    taken from `fks` where it holds k, else built through order n.
+    taken from `fks` where it holds k, else built through order n; a
+    key k that is not a scale, such as the family sweep's _PSI, stands
+    for the series fks holds under it.
     """
     factors = sorted(factors, key=lambda f: f[1] < 0)
     start = len(known)
@@ -557,11 +559,15 @@ class _ClosedForm(NamedTuple):
     term: Callable[[int], tuple[int, int]]  # n -> (exponent, weight)
 
 
-# Euler's pentagonal number theorem for f1, under the private key _EULER,
-# and the four theta closed forms (Hirschhorn, The Power of q).
+# Euler's pentagonal number theorem for f1 and Gauss's identity for
+# psi = f2^2/f1, under the private keys _EULER and _PSI, and the four
+# theta closed forms (Hirschhorn, The Power of q).  eval_eta reads only
+# _EULER; _PSI serves the family sweep of qpart.congruence alone.
 _EULER = "euler-pentagonal"
+_PSI = "gauss-psi"
 _CLOSED_FORMS: dict[Union[ThetaFamily, str], _ClosedForm] = {
     _EULER: _ClosedForm({1: 1}, False, lambda n: (n * (3 * n - 1) // 2, -1 if n & 1 else 1)),
+    _PSI: _ClosedForm({1: -1, 2: 2}, True, lambda n: (n * (n + 1) // 2, 1)),
     ThetaFamily.JACOBI_CUBE: _ClosedForm(
         {1: 3}, True, lambda n: (n * (n + 1) // 2, (2 * n + 1) * (-1 if n & 1 else 1))),
     ThetaFamily.PENTAGONAL_WEIGHTED: _ClosedForm(

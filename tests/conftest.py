@@ -13,19 +13,37 @@ def cold_sweep_memo():
     yield
 
 
+class _Passes(list):
+    """Kernel passes as (kernel name, coefficients it computes); `work`
+    adds up, per pass, those coefficients times the nonzero coefficients
+    below n of its sparse operand: mul's first, div's divisor."""
+
+    work = 0
+
+    def clear(self):
+        super().clear()
+        self.work = 0
+
+
+def _nonzeros(coeffs, n):
+    return sum(1 for x in coeffs[:n] if x)
+
+
 @pytest.fixture
 def kernel_passes(monkeypatch):
     """Every kernel pass from here on, as (kernel name, coefficients it
     computes): n - start for mul, n - len(known) for div."""
-    passes = []
+    passes = _Passes()
     mul, div = _kernels_py.mul, _kernels_py.div
 
     def counted_mul(a, b, n, m=None, start=0):
         passes.append(("mul", n - start))
+        passes.work += (n - start) * _nonzeros(a, n)
         return mul(a, b, n, m, start)
 
     def counted_div(a, b, n, m=None, known=()):
         passes.append(("div", n - len(known)))
+        passes.work += (n - len(known)) * _nonzeros(b, n)
         return div(a, b, n, m, known)
 
     monkeypatch.setattr(_kernels_py, "mul", counted_mul)

@@ -465,6 +465,19 @@ def test_module_entry_point_exit_codes():
     assert proc.stdout.strip() == "16"
 
 
+def test_closed_stdout_ends_quietly():
+    # about 300 kB of output, far more than a pipe holds: the reader
+    # closes the pipe after 10 bytes, while qpart is still writing
+    env = {**os.environ, "PYTHONPATH": str(Path(qpart.__file__).resolve().parent.parent)}
+    proc = subprocess.Popen([sys.executable, "-m", "qpart", "expand", "f1^-3", "--order", "4000"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert len(proc.stdout.read(10)) == 10
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    assert proc.wait(timeout=120) == cli.EXIT_CLOSED_PIPE == 141
+    assert err == ""
+
+
 # -- one parser per process ----------------------------------------------------
 
 # One small request per subcommand; each runs in well under a second.

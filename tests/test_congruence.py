@@ -31,6 +31,7 @@ from qpart.etaq import (
     theta_series,
 )
 from qpart.partitions import ColoredFamilySpec, Family, count, oracle_series
+from qpart.series import TruncatedSeries
 
 
 def a(k):
@@ -384,6 +385,47 @@ def test_oversized_sweep_refused_before_any_expansion(monkeypatch):
     list(congruence._family_sweep(Family.ODD_COLORED, [1, 2, 3], 400))
     list(congruence._family_sweep(Family.EVEN_COLORED, [1, 2], 400, 7))
     refused()
+
+
+# -- the sweep's psi step -------------------------------------------------------------
+
+def test_psi_row_is_f2_squared_over_f1():
+    order = 2200
+    psi = etaq._CLOSED_FORMS[etaq._PSI]
+    assert psi.product == {1: -1, 2: 2}
+    assert TruncatedSeries(etaq._closed_form(psi, order)) == eval_eta("f2^2/f1", order)
+
+
+def test_family_a_steps_by_psi_over_f2(kernel_passes):
+    list(congruence._family_sweep(Family.ODD_COLORED, [1, 3], 200))
+    # 1/f1, then per color a product by psi (20 nonzeros below 200) and a
+    # division by f2 (16), not by f1 (23)
+    assert kernel_passes == [("div", 200)] + [("mul", 200), ("div", 200)] * 2
+    assert kernel_passes.work == 200 * (23 + 2 * (20 + 16))
+
+
+@pytest.mark.parametrize("family", list(Family))
+@pytest.mark.parametrize("order", [1, 2, 11, 100, 2107])
+def test_sweep_work_stays_within_its_charge(family, order, kernel_passes):
+    # the charge counts passes over f2 and f1 per step of family a; the
+    # psi and f2 passes that run instead have no more nonzeros in all
+    list(congruence._family_sweep(family, range(1, 9), order))
+    charge = _expansion_work(family_expression(ColoredFamilySpec(family, 8)), order) + 7 * order
+    assert 0 < kernel_passes.work <= charge
+
+
+def test_a_wrong_psi_row_shows_in_the_sweep_and_not_in_eval_eta(monkeypatch):
+    order = 60
+    exprs = [family_expression(a(3)), family_expression(b(3)), etaq.parse_eta("f2^2/f1")]
+    before = [eval_eta(expr, order) for expr in exprs]
+    psi = etaq._CLOSED_FORMS[etaq._PSI]
+    wrong = psi._replace(term=lambda n: (n * (n + 1) // 2, 2 if n == 4 else 1))
+    monkeypatch.setitem(etaq._CLOSED_FORMS, etaq._PSI, wrong)
+    _, swept = next(congruence._family_sweep(Family.ODD_COLORED, [3], order))
+    assert swept != oracle_series(a(3), order)
+    # eval_eta never reads the psi row, so it still agrees with the oracle
+    assert [eval_eta(expr, order) for expr in exprs] == before
+    assert before[0] == oracle_series(a(3), order)
 
 
 def test_scan_range_floor():

@@ -83,6 +83,43 @@ def test_div_continues_a_known_quotient():
                 assert _kernels_py.div(garbled, b, n, m, known) == full
 
 
+def _real_length_divisors(rng, n):
+    """Divisors through order n: fk for k = 1..4, random sparse +-1 ones
+    with one term fewer than and as many as div needs for its
+    interleaved loop, a scaled dense one, a sparse one with b[0] = -1,
+    and the constant 1."""
+    few = _kernels_py._FEW_TERMS
+    divisors = [qpart.pochhammer_f(k, n).coeffs for k in (1, 2, 3, 4)]
+    for terms in (few - 1, few):
+        if terms < n:
+            b = [1] + [0] * (n - 1)
+            for j in rng.sample(range(1, n), terms):
+                b[j] = rng.choice((1, -1))
+            divisors.append(b)
+    divisors.append([rng.choice((1, -1))] + [rng.randint(-9, 9) for _ in range(n - 1)])
+    divisors.append([-1] + [rng.choice((0, 0, 0, 1, -1)) for _ in range(n - 1)])
+    divisors.append([1])
+    return divisors
+
+
+def test_div_at_real_lengths():
+    """Orders up to 701, on both sides of div's choice of loop, in every
+    lane, from known prefixes of length 0, n and in between."""
+    rng = random.Random(5)
+    sides = set()
+    for n in (1, 2, 150, 701):
+        a = [rng.randint(-99, 99) for _ in range(n)]
+        for b in _real_length_divisors(rng, n):
+            full = poly_mul(a, poly_inv(b, n), n)
+            sides.add((n, sum(1 for x in b[1:n] if x) < _kernels_py._FEW_TERMS))
+            for m in MODULI:
+                expected = _reduced(full, m)
+                for p in sorted({0, n, rng.randint(0, n), rng.randint(0, n)}):
+                    garbled = [rng.randint(-99, 99) for _ in a[:p]] + a[p:]
+                    assert _kernels_py.div(garbled, b, n, m, expected[:p]) == expected
+    assert {(n, few) for n in (150, 701) for few in (True, False)} <= sides
+
+
 def test_mul_accepts_tuples():
     assert _kernels_py.mul((1, 1), (1, -1), 2) == [1, 0]
 
