@@ -11,10 +11,30 @@ C-level sum per coefficient over an itemgetter of the terms, and keeps
 a Python loop over the terms for divisors with few of them.
 Coefficient sequences are sequences of Python ints; with `m` set the
 result is reduced into 0..m-1, otherwise all arithmetic is exact.
+
+In the modular lane residues are small, and a product from
+coefficient 0 on is one multiplication of two Python ints instead
+(Kronecker substitution; Harvey, Faster polynomial multiplication via
+multipoint Kronecker substitution, J. Symbolic Comput. 2009): each
+operand is packed as one little-endian int with w-byte slots, w the
+byte length of the slot bound min(nnz a, nnz b) * (m-1)^2, which no
+coefficient of the product exceeds, and the low n slots of the
+product are unpacked and reduced.  CPython multiplies ints of that
+size by Karatsuba in C.  This runs while the bound is below 2^64, so
+that a slot fits an array('Q') word: for dense operands at n = 2107,
+for every m up to about 2^26.  A division by b through a supplied
+inverse 1/b is such a product too.
 """
 
+import sys
+from array import array
 from itertools import compress, islice
 from operator import add, itemgetter, mul as times, neg, sub
+
+# A product through fewer coefficients than this runs the slice loop
+# even where it packs (see mul).
+_PACK_FROM = 32
+_SWAP = sys.byteorder != "little"  # array('Q') words are native-endian
 
 
 def mul(a, b, n, m=None, start=0):
@@ -25,7 +45,21 @@ def mul(a, b, n, m=None, start=0):
     One shifted slice add (or subtract) of b per coefficient +1 (or -1)
     of a; other coefficients add a scaled copy of b.  A product whose
     first coefficients are already known thus costs only its new ones.
+
+    With m set, start 0 and a slot bound min(nnz a, nnz b) * (m-1)^2
+    below 2^64, nnz counting the nonzero entries below n, the product
+    is instead one packed big-int product (_mul_packed), from
+    n = _PACK_FROM = 32 on.  Measured with Python 3.11.7 on a 2-core
+    x86-64 host, best of 7, multiplying a residue series mod 7 or 13 by
+    f1 or f2: the slice loop takes 1.3-1.4 us at n = 1 against 4.8-5.1
+    us packed, and 8.4-9.1 us against 9.1-10.1 us by f1 at n = 20; the
+    two meet at n = 25 by f1 and n = 40 by f2, the sparser one.  At
+    n = 2107 by f1 mod 7 the loop takes 5.0 ms and the packed product
+    0.8 ms.
     """
+    packed = None if start else _mul_packed(a, b, n, m)
+    if packed is not None:
+        return packed
     out = [0] * n
     lb = len(b)
     first = 0
@@ -54,9 +88,16 @@ def mul(a, b, n, m=None, start=0):
 _FEW_TERMS = 20
 
 
-def div(a, b, n, m=None, known=()):
+def div(a, b, n, m=None, known=(), inverse=None):
     """Quotient a / b, truncated to length n, for b[0] = +1 or -1, whose
     first len(known) coefficients are `known`.
+
+    `inverse`, if given, holds 1/b mod m through order n.  With no known
+    prefix, the quotient is then a * inverse, where that product packs
+    as in mul (m set, n >= _PACK_FROM, slot bound below 2^64); anywhere
+    else the inverse is not read and the recurrence below runs.  At
+    n = 2107 mod 7, dividing a residue series by f2 takes 0.8 ms so,
+    against 2.2 ms by the recurrence.
 
     Runs c[t] = (a[t] - sum_{j>=1} b[j] * c[t-j]) / b[0] over the
     nonzero b[j] only, for t from len(known) on, so a is read only from
@@ -86,6 +127,9 @@ def div(a, b, n, m=None, known=()):
     b0 = b[0]
     if b0 not in (1, -1):
         raise ValueError(f"cannot divide by a series with constant term {b0}")
+    packed = None if known or inverse is None else _mul_packed(a, inverse, n, m)
+    if packed is not None:
+        return packed
     exponents = [*compress(range(1, n), islice(b, 1, n))]
     if len(exponents) < _FEW_TERMS:
         return _div_few(a, b, n, m, known, exponents)
@@ -131,6 +175,59 @@ def div(a, b, n, m=None, known=()):
                 weights.append(-bj)
         lo = hi
     return out[::2]
+
+
+def _slot_bytes(terms, n, m):
+    """Bytes per slot of a packed product mod m through n whose
+    coefficients add at most `terms` products of residues: the byte
+    length of the slot bound terms * (m-1)^2.  0 where the product does
+    not pack: m unset, n below _PACK_FROM, no terms, or the bound at
+    2^64 or past it."""
+    if m is None or n < _PACK_FROM or not terms:
+        return 0
+    bound = terms * (m - 1) ** 2
+    return (bound.bit_length() + 7) // 8 if bound < 1 << 64 else 0
+
+
+def _pack(x, m, w):
+    """x, reduced into 0..m-1 where its min or max is out of that range,
+    as one little-endian int with w-byte slots."""
+    if min(x) < 0 or max(x) >= m:
+        x = [v % m for v in x]
+    words = array("Q", x)
+    if _SWAP:
+        words.byteswap()
+    raw = words.tobytes()
+    slots = bytearray(len(x) * w)
+    for j in range(w):
+        slots[j::w] = raw[j::8]
+    return int.from_bytes(slots, "little")
+
+
+def _mul_packed(a, b, n, m):
+    """mul(a, b, n, m) as one product of the packed operands through n,
+    or None where it does not pack (see _slot_bytes).  The low n slots
+    of the product are unpacked into array('Q') words by w strided byte
+    copies and reduced.  No slot overflows: coefficient t < n of the
+    product adds at most min(nnz a, nnz b) products of residues, nnz
+    counting the nonzero entries below n, so the slots hold the
+    coefficients exactly."""
+    if m is None or n < _PACK_FROM:
+        return None
+    a, b = a[:n], b[:n]
+    w = _slot_bytes(min(len(a) - a.count(0), len(b) - b.count(0)), n, m)
+    if not w:
+        return None
+    product = _pack(a, m, w) * _pack(b, m, w)
+    raw = product.to_bytes(max(n, len(a) + len(b)) * w, "little")
+    slots = bytearray(8 * n)
+    for j in range(w):
+        slots[j::8] = raw[j:n * w:w]
+    words = array("Q")
+    words.frombytes(slots)
+    if _SWAP:
+        words.byteswap()
+    return [x % m for x in words]
 
 
 def _getter(indices):

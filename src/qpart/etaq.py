@@ -369,7 +369,8 @@ _PASS_OVERHEAD = 40  # a pass at order 1 takes 1-1.5 us; an addition at order 21
 
 def _apply_factors(acc: Sequence[int] | None, factors, n: int, m: int | None,
                    known: Sequence[int] = (),
-                   fks: Mapping[int, Sequence[int]] | None = None) -> list[int]:
+                   fks: Mapping[int, Sequence[int]] | None = None,
+                   inverses: Mapping[int, Sequence[int]] | None = None) -> list[int]:
     """acc * prod fk^e through order n, mod m if set, for (k, e) pairs as
     in EtaTerm.factors, acc None standing for the series 1.  eval_eta
     and the family sweep pass here.
@@ -383,7 +384,9 @@ def _apply_factors(acc: Sequence[int] | None, factors, n: int, m: int | None,
     quotient continues its recurrence after the known prefix.  fk is
     taken from `fks` where it holds k, else built through order n; a
     key k that is not a scale, such as the family sweep's _PSI, stands
-    for the series fks holds under it.
+    for the series fks holds under it.  `inverses` may hold 1/fk mod m
+    through order n under k, which each quotient by fk hands to
+    kernels.div; the family sweep supplies 1/f2 in its modular lane.
     """
     factors = sorted(factors, key=lambda f: f[1] < 0)
     start = len(known)
@@ -391,9 +394,11 @@ def _apply_factors(acc: Sequence[int] | None, factors, n: int, m: int | None,
         assert [e for _, e in factors] in ([-1], [1, -1]), factors
     for k, e in factors:
         fk = fks[k] if fks and k in fks else _pochhammer_coeffs(k, n)
+        inverse = inverses.get(k) if inverses else None
         for _ in range(abs(e)):
             if e < 0:
-                acc = kernels.div((1,) if acc is None else acc, fk, n, m, known)
+                acc = kernels.div((1,) if acc is None else acc, fk, n, m, known,
+                                  inverse=inverse)
             elif acc is not None:
                 acc = kernels.mul(fk, acc, n, m, start)
             else:
@@ -403,8 +408,13 @@ def _apply_factors(acc: Sequence[int] | None, factors, n: int, m: int | None,
 
 def _pass_work(k: int, n: int) -> int:
     """Coefficient additions charged for one pass over fk through order n:
-    n times fk's 1 + 2*isqrt(2n/(3k)) nonzeros, plus _PASS_OVERHEAD."""
-    return n * (1 + 2 * isqrt(2 * n // (3 * k))) + _PASS_OVERHEAD
+    n times the nonzeros of fk below n, plus _PASS_OVERHEAD.  Those are
+    the constant term and, by Euler's pentagonal theorem, one term
+    q^(k*j(3j-1)/2) per integer j != 0 with j(3j-1)/2 <= X = (n-1)//k,
+    that is 6j - 1 <= s for j > 0 and -6j + 1 <= s for j < 0, where
+    s = isqrt(1 + 24X)."""
+    s = isqrt(1 + 24 * ((n - 1) // k))
+    return n * (1 + (1 + s) // 6 + (s - 1) // 6) + _PASS_OVERHEAD
 
 
 def _expansion_work(expr: EtaExpression, order: int) -> int:
@@ -504,7 +514,11 @@ def eval_eta(expr: Union[EtaExpression, str], order: int,
     With `modulus` set, every pass reduces into 0..modulus-1.  Nothing
     is divided by anything but fk's constant term 1, so this holds for
     every modulus >= 2, and the result equals reduce_mod of the exact
-    expansion while the coefficients stay below the modulus.
+    expansion while the coefficients stay below the modulus.  There the
+    products run packed into one big-int product each where they can
+    (see qpart._kernels_py), while the divisions stay the sequential
+    recurrence, so that eval_eta stays an independent check of the
+    family sweep, whose divisions by f2 are packed products too.
     """
     if isinstance(expr, str):
         expr = parse_eta(expr)

@@ -41,10 +41,10 @@ def kernel_passes(monkeypatch):
         passes.work += (n - start) * _nonzeros(a, n)
         return mul(a, b, n, m, start)
 
-    def counted_div(a, b, n, m=None, known=()):
+    def counted_div(a, b, n, m=None, known=(), inverse=None):
         passes.append(("div", n - len(known)))
         passes.work += (n - len(known)) * _nonzeros(b, n)
-        return div(a, b, n, m, known)
+        return div(a, b, n, m, known, inverse)
 
     monkeypatch.setattr(_kernels_py, "mul", counted_mul)
     monkeypatch.setattr(_kernels_py, "div", counted_div)

@@ -428,6 +428,92 @@ def test_a_wrong_psi_row_shows_in_the_sweep_and_not_in_eval_eta(monkeypatch):
     assert before[0] == oracle_series(a(3), order)
 
 
+# -- the modular sweep divides by f2 through 1/f1 -----------------------------------
+
+SWEEP_MODULI = (2, 5, 7, 13)
+SWEEP_ORDERS = (1, 2, 151, 700)
+MEMO_STATES = ("cold", "short 1/f1", "1/f1 evicted")
+
+
+def _exact_members(family, order):
+    congruence._MEMO.clear()
+    return dict(congruence._family_sweep(family, range(1, 9), order))
+
+
+def _swept_in_memo_state(state, family, order, m, exact):
+    """The modular sweep's members and reduce_mod of the exact ones, the
+    sweep run with the memo left in the state: empty; 1/f1 kept through
+    order // 5, below ceil(order/2) from order 3 on, and member 2 kept
+    at the order, so that the chain starts from member 2 and continues
+    1/f1; or only member 3 kept, so that the chain builds 1/f1 from the
+    series 1."""
+    congruence._MEMO.clear()
+
+    def keep(k, n):
+        congruence._MEMO.store(family, k, m, exact[k].truncate(n).reduce_mod(m))
+
+    ks = range(1, 9)
+    if state == "short 1/f1":
+        keep(1, max(1, order // 5))
+        keep(2, order)
+        ks = range(2, 9)
+    elif state == "1/f1 evicted":
+        keep(3, order)
+        ks = range(3, 9)
+    swept = dict(congruence._family_sweep(family, ks, order, m))
+    return swept, {k: exact[k].reduce_mod(m) for k in ks}
+
+
+@pytest.mark.parametrize("family", list(Family))
+@pytest.mark.parametrize("state", MEMO_STATES)
+def test_modular_sweep_is_the_exact_sweep_reduced(family, state):
+    for order in SWEEP_ORDERS:
+        exact = _exact_members(family, order)
+        for m in SWEEP_MODULI:
+            swept, expected = _swept_in_memo_state(state, family, order, m, exact)
+            assert swept == expected, (order, m)
+
+
+@pytest.mark.parametrize("family", list(Family))
+@pytest.mark.parametrize("state", MEMO_STATES)
+def test_a_wrong_inverse_of_f2_shows_in_the_modular_sweep(family, state, monkeypatch):
+    build = congruence._f2_inverse
+
+    def wrong(*args):
+        inverse = build(*args)
+        inverse[1] += 1  # 1/f2 has no odd exponents
+        return inverse
+
+    monkeypatch.setattr(congruence, "_f2_inverse", wrong)
+    for order in SWEEP_ORDERS[2:]:  # the shorter orders run below _PACK_FROM
+        exact = _exact_members(family, order)
+        for m in SWEEP_MODULI:
+            swept, expected = _swept_in_memo_state(state, family, order, m, exact)
+            assert swept != expected, (order, m)
+
+
+@pytest.mark.parametrize("family", list(Family))
+def test_modular_sweep_runs_the_passes_of_the_exact_one(family, kernel_passes):
+    """The same passes at the same lengths, each f2 division now a
+    product by 1/f2; the one pass more, 1/f1 through ceil(order/2), runs
+    only where the chain starts past member 1 and 1/f1 is not kept that
+    long, in place of the division by f1 that the chain skips."""
+    order, m, half = 101, 7, 51
+    kernel_passes.clear()
+    exact = _exact_members(family, order)
+    exact_passes = list(kernel_passes)
+    steps = {Family.ODD_COLORED: [("mul", order), ("div", order)],
+             Family.EVEN_COLORED: [("div", order)]}[family]
+    for state, extra, colors in (("cold", [], 7),
+                                 ("short 1/f1", [("div", half - order // 5)], 6),
+                                 ("1/f1 evicted", [("div", half)], 5)):
+        congruence._MEMO.clear()
+        kernel_passes.clear()
+        _swept_in_memo_state(state, family, order, m, exact)
+        assert kernel_passes == extra + (exact_passes if state == "cold" else steps * colors)
+    assert exact_passes == [("div", order)] + steps * 7
+
+
 def test_scan_range_floor():
     with pytest.raises(ValueError):
         scan([1], 7, 49)

@@ -2,15 +2,19 @@
 
 import gc
 import tracemalloc
+from itertools import accumulate
 
 import pytest
 
 from qpart.congruence import dissection_rhs
 from qpart.etaq import (
     _EULER,
+    _PASS_OVERHEAD,
     THETA_PRODUCT_FORM,
     EtaExpression,
     ThetaFamily,
+    _pass_work,
+    _pochhammer_coeffs,
     eval_eta,
     pochhammer_f,
     theta_series,
@@ -215,6 +219,14 @@ def test_eval_shares_factors_of_shifted_terms_from_their_lowest_shift(kernel_pas
     # 100, outweigh the three short terms: only f1^-1 is shared
     assert eval_eta("1/f1 + q^90/f1^20 + 2*q^90/f1^20 + 3*q^90/f1^20", 100) == expected
     assert sorted(kernel_passes) == [("div", 10)] * 57 + [("div", 100)]
+
+
+def test_pass_work_counts_every_nonzero_of_fk():
+    # fk below order n is the first n coefficients of fk below 5000
+    for k in range(1, 8):
+        nonzeros = list(accumulate(x != 0 for x in _pochhammer_coeffs(k, 5000)))
+        for n in range(1, 5001):
+            assert _pass_work(k, n) - _PASS_OVERHEAD == n * nonzeros[n - 1], (k, n)
 
 
 def test_eval_rejects_bad_order():

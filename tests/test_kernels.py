@@ -2,6 +2,8 @@
 
 import random
 
+import pytest
+
 import qpart
 from qpart import _kernels_py
 
@@ -136,3 +138,101 @@ def test_big_coefficients_stay_exact():
 def test_backend_is_python():
     # perfbench records this name and compares it with its baseline
     assert qpart.backend() == "python"
+
+
+# -- packed products in the modular lane ---------------------------------------------
+
+# The lanes of MODULI, 13, 2**30 + 3, whose products pack into 8-byte
+# slots through up to 15 terms and run the slice loop from 16 on, and
+# 2**64 + 13, whose slot bound (m-1)^2 is past 2^64 already.
+PACKED_MODULI = (*MODULI, 13, 2**30 + 3, 2**64 + 13)
+PACKED_ORDERS = (1, 2, 20, 150, 701, 2107)
+
+
+def _residue_operands(rng, n):
+    """A sparse operand shorter than n and a dense one longer than n,
+    with zero, +-1, negative entries, and entries past every modulus."""
+    big = 2**70
+    short = [rng.choice((0, 0, 1, -1, rng.randint(-big, big))) for _ in range(max(1, n // 3))]
+    long = [rng.randint(-big, big) for _ in range(n + 7)]
+    return short, long
+
+
+@pytest.fixture
+def packed_sides(monkeypatch):
+    """(m, whether the product packed) for every product tried from here on."""
+    sides = set()
+    packed = _kernels_py._mul_packed
+
+    def recorded(a, b, n, m):
+        out = packed(a, b, n, m)
+        sides.add((m, out is not None))
+        return out
+
+    monkeypatch.setattr(_kernels_py, "_mul_packed", recorded)
+    return sides
+
+
+def test_packed_mul_against_oracle(packed_sides, monkeypatch):
+    """From coefficient 0 and from start > 0, with operands shorter and
+    longer than n in either place, at every order below and past
+    _PACK_FROM; with it set to 1 as well, so that the short orders
+    pack too."""
+    rng = random.Random(6)
+    for n in PACKED_ORDERS:
+        short, long = _residue_operands(rng, n)
+        # the slice loop over a dense a of 2107 big entries takes a while
+        pairs = [(short, long)] + [(long, short), (long, long[::-1])] * (n < 1000)
+        for a, b in pairs:
+            full = poly_mul(a, b, n)
+            for m in PACKED_MODULI:
+                expected = _reduced(full, m)
+                start = rng.randint(1, n)
+                assert _kernels_py.mul(a, b, n, m, start) == [0] * start + expected[start:]
+                for pack_from in (_kernels_py._PACK_FROM, 1):
+                    monkeypatch.setattr(_kernels_py, "_PACK_FROM", pack_from)
+                    assert _kernels_py.mul(a, b, n, m) == expected
+    # both sides of the slot bound are reached
+    assert {(m, True) for m in (2, 7, 13, 2**30 + 3)} <= packed_sides
+    assert {(m, False) for m in (2**30 + 3, 2**64 + 13, 2**70 + 1)} <= packed_sides
+
+
+def _divisors(n):
+    """f2, and -f3 + (2^70 + 5) q^(n//2 + 1): constant term -1, and one
+    entry past every modulus, late enough that the inverse's entries
+    stay near 2^70."""
+    b = [-x for x in qpart.pochhammer_f(3, n).coeffs]
+    if n // 2 + 1 < n:
+        b[n // 2 + 1] += 2**70 + 5
+    return [qpart.pochhammer_f(2, n).coeffs, b]
+
+
+def test_div_through_an_inverse_against_oracle(packed_sides, monkeypatch):
+    """div(..., inverse=1/b) is a * (1/b) where that packs, the recurrence
+    elsewhere: with m unset, past the slot bound, below _PACK_FROM and
+    after a known prefix the inverse is not read, so a wrong one changes
+    nothing there.  With _PACK_FROM set to 1 as well, so that the short
+    orders pack too."""
+    rng = random.Random(7)
+    for n in PACKED_ORDERS:
+        _, a = _residue_operands(rng, n)
+        a[0] = 1
+        for b in _divisors(n):
+            inverse = poly_inv(b, n)
+            full = poly_mul(a, inverse, n)
+            # the quotient's last coefficient moves by a[0] = 1; the
+            # wrong inverse keeps a nonzero entry
+            wrong = inverse[:]
+            wrong[-1] += 1 if wrong[-1] != -1 else -1
+            for m in PACKED_MODULI:
+                expected = _reduced(full, m)
+                p = rng.randint(1, n)
+                for pack_from in (_kernels_py._PACK_FROM, 1):
+                    monkeypatch.setattr(_kernels_py, "_PACK_FROM", pack_from)
+                    assert _kernels_py.div(a, b, n, m, inverse=_reduced(inverse, m)) == expected
+                    terms = min(n - a[:n].count(0), n - wrong.count(0))
+                    reads = m is not None and n >= pack_from and terms * (m - 1)**2 < 2**64
+                    assert (_kernels_py.div(a, b, n, m, inverse=wrong) == expected) != reads
+                    assert _kernels_py.div(a, b, n, m, expected[:p], wrong) == expected
+    assert {(m, True) for m in (2, 7, 13, 2**30 + 3)} <= packed_sides
+    assert {(m, False) for m in (2**30 + 3, 2**64 + 13, 2**70 + 1)} <= packed_sides
