@@ -20,8 +20,6 @@ from __future__ import annotations
 
 import enum
 import operator
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 from importlib import resources
@@ -47,7 +45,7 @@ from .etaq import (
     theta_support_mod,
 )
 from .partitions import ColoredFamilySpec, Family
-from .series import TruncatedSeries, _int_value, _modulus_value
+from .series import TruncatedSeries, _int_value, _Memo, _modulus_value
 
 
 class UnsupportedFamilyError(ValueError):
@@ -162,27 +160,14 @@ def _memo_key(family: Family, k: int, lane: int | None) -> tuple[Family, int, in
     return (Family.ODD_COLORED if k == 1 else family, k, lane)
 
 
-class _SweepMemo:
+class _SweepMemo(_Memo):
     """The chain members family sweeps have built, keyed by _memo_key:
     (family, k, lane), the lane being the modulus or None for exact,
     with one entry for 1/f1, member 1 of either family, so that a chain
     of either family can start from it.  Each key keeps its longest
-    series; the least recently used ones go once the series hold more
-    than `capacity` coefficients in all, and a series longer than that
-    is never stored.  A lock keeps the bookkeeping whole when
-    threads share the memo."""
-
-    def __init__(self, capacity: int):
-        self.capacity = capacity
-        self.size = 0
-        self._series: OrderedDict[tuple[Family, int, int | None], TruncatedSeries] = \
-            OrderedDict()
-        self._lock = threading.Lock()
-
-    def clear(self) -> None:
-        with self._lock:
-            self._series.clear()
-            self.size = 0
+    series, charged its order: the least recently used ones go once the
+    series hold more than `capacity` coefficients in all, and a series
+    longer than that is never stored."""
 
     def chain(self, family: Family, lane: int | None, first: int, last: int,
               order: int) -> tuple[int, TruncatedSeries | None, dict[int, TruncatedSeries]]:
@@ -192,32 +177,17 @@ class _SweepMemo:
         there is none); and the kept series of every k <= last, by k,
         whatever their order."""
         with self._lock:
-            kept = {k: series for (f, k, lane_), series in self._series.items()
+            kept = {k: series for (f, k, lane_), series in self._kept.items()
                     if k <= last and (f, k, lane_) == _memo_key(family, k, lane)}
             start = max((k for k, series in kept.items()
                          if k <= first and series.order >= order), default=0)
             if start:
-                self._series.move_to_end(_memo_key(family, start, lane))
+                self._kept.move_to_end(_memo_key(family, start, lane))
         return start, kept.get(start), kept
 
-    def store(self, family: Family, k: int, lane: int | None,
-              series: TruncatedSeries) -> None:
-        key = _memo_key(family, k, lane)
-        with self._lock:
-            old = self._series.get(key)
-            if old is not None and old.order >= series.order:
-                self._series.move_to_end(key)
-                return
-            if series.order > self.capacity:
-                return
-            if old is not None:
-                del self._series[key]
-                self.size -= old.order
-            self._series[key] = series
-            self.size += series.order
-            while self.size > self.capacity:
-                _, evicted = self._series.popitem(last=False)
-                self.size -= evicted.order
+    def keep(self, family: Family, k: int, lane: int | None,
+             series: TruncatedSeries) -> None:
+        self.store(_memo_key(family, k, lane), series, series.order, series.order)
 
 
 # About three times what one round of the verify-exact benchmark keeps
@@ -373,7 +343,7 @@ def _family_sweep(family: Family, ks: Iterable[int], order: int,
         if k > newest or k in wanted:
             series = TruncatedSeries(coeffs)
             if k > newest:
-                _MEMO.store(family, k, m, series)
+                _MEMO.keep(family, k, m, series)
             if k in wanted:
                 yield k, series
 

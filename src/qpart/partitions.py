@@ -10,6 +10,11 @@ Everything here is combinatorial ground truth, independent of the
 q-series pipeline: counts come from the divisor-sum recurrence for
 Euler products, built from the color counts alone, and never touch
 Pochhammer code.
+
+The longest count table built for each color function is kept for the
+life of the process (_TABLES) and continued, not rebuilt, by a later
+request past its end: the recurrence is online, so the counts are the
+same as a cold build's.
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ import math
 import operator
 from dataclasses import dataclass
 
-from .series import TruncatedSeries, _int_value
+from .series import TruncatedSeries, _int_value, _Memo
 
 
 class CapExceededError(ValueError):
@@ -125,6 +130,12 @@ def _dp_work(spec: ColoredFamilySpec, order: int) -> int:
     return order * order // 2 * units
 
 
+# The count tables _count_table keeps, by the colors of odd and of even
+# parts, so that a_1 and b_1, both p(n), share one table: at most 2^24
+# bits (2 MiB) of counts in all, each table charged order * _count_bits.
+_TABLES = _Memo(2**24)
+
+
 def _count_table(spec: ColoredFamilySpec, order: int) -> list[int]:
     """c[n] = number of colored partitions of n, for n < order.
 
@@ -135,28 +146,40 @@ def _count_table(spec: ColoredFamilySpec, order: int) -> list[int]:
     exact integers, whatever the color count.  The sum is always an
     exact multiple of n, and that is asserted.  Above _MAX_DP_WORK
     (see _dp_work) the table is refused with ValueError before it is
-    allocated.
+    allocated, or the kept tables are read, so what they hold never
+    changes which inputs are refused.
+
+    The longest table built for the spec's color function is kept
+    (_TABLES): one at least `order` long is sliced, a shorter one is
+    continued from its end, each new count computed as in a cold build.
+    A table charged more than the whole budget is returned but not kept.
+    The caller gets its own list.
     """
     work = _dp_work(spec, order)
     if work > _MAX_DP_WORK:
         raise ValueError(f"counting needs about {work} multiply-adds, "
                          f"more than the limit of {_MAX_DP_WORK}")
+    key = (spec.color_count(1), spec.color_count(2))
+    c = list((_TABLES.get(key) or (1,))[:order])
+    if len(c) == order:
+        return c
     sigma = [0] * order  # sigma[j - 1] = sigma(j)
     for d in range(1, order):
         weight = d * spec.color_count(d)
         for multiple in range(d - 1, order - 1, d):
             sigma[multiple] += weight
-    c = [1]
-    for n in range(1, order):
+    for n in range(len(c), order):
         total = sum(map(operator.mul, sigma, reversed(c)))
         quotient, remainder = divmod(total, n)
         assert remainder == 0, f"divisor-sum recurrence: {total} not divisible by {n}"
         c.append(quotient)
+    _TABLES.store(key, tuple(c), order, order * _count_bits(spec, order - 1))
     return c
 
 
 def count(spec: ColoredFamilySpec, n: int) -> int:
-    """Number of colored partitions of n under the spec."""
+    """Number of colored partitions of n under the spec, read from the
+    kept count table, which is continued through n if it is shorter."""
     n = _int_value(n, "n")
     if n < 0:
         raise ValueError("n must be >= 0")
@@ -164,7 +187,8 @@ def count(spec: ColoredFamilySpec, n: int) -> int:
 
 
 def oracle_series(spec: ColoredFamilySpec, order: int) -> TruncatedSeries:
-    """Generating series of the family, built purely from the counts."""
+    """Generating series of the family, built purely from the counts:
+    the kept count table through the order, continued if it is shorter."""
     order = _int_value(order, "order")
     if order < 1:
         raise ValueError("order must be >= 1")

@@ -9,8 +9,11 @@ data.  Values are immutable; every operation returns a new series.
 
 from __future__ import annotations
 
+import threading
+from collections import OrderedDict
+from collections.abc import Hashable
 from operator import index
-from typing import Iterable, Iterator, Union
+from typing import Any, Iterable, Iterator, Union
 
 from . import _kernels_py as kernels
 
@@ -35,6 +38,56 @@ def _modulus_value(m: int) -> int:
     if m < 2:
         raise ValueError(f"modulus must be >= 2, got {m}")
     return m
+
+
+class _Memo:
+    """Values kept for the life of the process, each key keeping its
+    longest value.  Each value is charged a cost when stored; the least
+    recently used go once the costs add up past `capacity`, and a value
+    that alone costs more is not stored, nor does it evict anything.  A
+    lock keeps the bookkeeping whole when threads share the memo; the
+    values are never mutated, so callers compute outside it."""
+
+    def __init__(self, capacity: int):
+        self.capacity = capacity
+        self.size = 0
+        self._kept: OrderedDict[Hashable, Any] = OrderedDict()
+        self._charges: dict[Hashable, tuple[int, int]] = {}  # (length, cost)
+        self._lock = threading.Lock()
+
+    def clear(self) -> None:
+        with self._lock:
+            self._kept.clear()
+            self._charges.clear()
+            self.size = 0
+
+    def get(self, key: Hashable) -> Any:
+        """The value kept under the key, which counts as used, or None."""
+        with self._lock:
+            value = self._kept.get(key)
+            if value is not None:
+                self._kept.move_to_end(key)
+        return value
+
+    def store(self, key: Hashable, value: Any, length: int, cost: int) -> None:
+        """Keep the value under the key unless the value kept there is at
+        least `length` long, which then counts as used."""
+        with self._lock:
+            old = self._charges.get(key)
+            if old is not None and old[0] >= length:
+                self._kept.move_to_end(key)
+                return
+            if cost > self.capacity:
+                return
+            if old is not None:
+                del self._kept[key]
+                self.size -= self._charges.pop(key)[1]
+            self._kept[key] = value
+            self._charges[key] = (length, cost)
+            self.size += cost
+            while self.size > self.capacity:
+                evicted, _ = self._kept.popitem(last=False)
+                self.size -= self._charges.pop(evicted)[1]
 
 
 class TruncatedSeries:

@@ -1,14 +1,15 @@
 import pytest
 
-from qpart import _kernels_py, congruence
+from qpart import _kernels_py, congruence, partitions
 
 
 @pytest.fixture(autouse=True)
-def cold_sweep_memo():
-    """Start every test with an empty family-sweep memo and no kept
-    Frobenius verdict, so that no result depends on which tests ran
-    before it."""
+def cold_memos():
+    """Start every test with an empty family-sweep memo, no kept count
+    table and no kept Frobenius verdict, so that no result depends on
+    which tests ran before it."""
     congruence._MEMO.clear()
+    partitions._TABLES.clear()
     congruence._frobenius_verdict.cache_clear()
     yield
 

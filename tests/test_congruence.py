@@ -450,7 +450,7 @@ def _swept_in_memo_state(state, family, order, m, exact):
     congruence._MEMO.clear()
 
     def keep(k, n):
-        congruence._MEMO.store(family, k, m, exact[k].truncate(n).reduce_mod(m))
+        congruence._MEMO.keep(family, k, m, exact[k].truncate(n).reduce_mod(m))
 
     ks = range(1, 9)
     if state == "short 1/f1":

@@ -1,8 +1,14 @@
 """Colored-partition counting against a knapsack count, exhaustive
 listings and the paper-style display order."""
 
+import functools
+import random
+import sys
+import threading
+
 import pytest
 
+from qpart import partitions
 from qpart.etaq import eval_eta
 from qpart.congruence import family_expression
 from qpart.partitions import (
@@ -84,7 +90,180 @@ def test_count_table_matches_knapsack_at_every_order(family, k):
     spec = ColoredFamilySpec(family, k)
     reference = colored_partition_counts(spec, 200)
     for order in range(1, 201):
+        partitions._TABLES.clear()  # a cold build at every order
         assert _count_table(spec, order) == reference[:order]
+
+
+# -- the kept count tables ---------------------------------------------------------
+
+MEMO_KS = [1, 2, 3, 5, 28]
+MEMO_STATES = ("empty", "shorter kept", "longer kept", "evicted", "over budget")
+
+
+@functools.cache
+def _knapsack(family, k, order=200):
+    return colored_partition_counts(ColoredFamilySpec(family, k), order)
+
+
+def _key(spec):
+    return (spec.color_count(1), spec.color_count(2))
+
+
+def _charge(spec, order):
+    return order * _count_bits(spec, order - 1)
+
+
+def _charges_add_up():
+    tables = partitions._TABLES
+    return tables.size == sum(cost for _, cost in tables._charges.values()) <= tables.capacity
+
+
+@pytest.mark.parametrize("state", MEMO_STATES)
+@pytest.mark.parametrize("family", Family)
+@pytest.mark.parametrize("k", MEMO_KS)
+def test_count_table_in_every_memo_state(state, family, k, monkeypatch):
+    spec = ColoredFamilySpec(family, k)
+    reference = _knapsack(family, k)
+    other = ColoredFamilySpec(family, k + 1)
+    kept = partitions._TABLES._kept
+    order = 120
+    if state == "shorter kept":
+        _count_table(spec, 37)
+    elif state == "longer kept":
+        _count_table(spec, 200)
+    elif state == "evicted":
+        # the budget holds the spec's table alone; a second table evicts it
+        monkeypatch.setattr(partitions._TABLES, "capacity", _charge(spec, 200))
+        _count_table(spec, 200)
+        _count_table(other, 10)
+        assert _key(spec) not in kept
+    elif state == "over budget":
+        monkeypatch.setattr(partitions._TABLES, "capacity", _charge(spec, order) - 1)
+        _count_table(other, 10)
+    assert _count_table(spec, order) == reference[:order]
+    assert count(spec, order - 1) == reference[order - 1]
+    assert list(oracle_series(spec, order)) == reference[:order]
+    if state == "over budget":
+        # returned, but neither kept nor evicting anything
+        assert list(kept) == [_key(other)]
+    else:
+        assert len(kept[_key(spec)]) == (200 if state == "longer kept" else order)
+    assert _charges_add_up()
+
+
+@pytest.mark.parametrize("sequence", ["rising", "falling", "shuffled"])
+@pytest.mark.parametrize("family", Family)
+@pytest.mark.parametrize("k", MEMO_KS)
+def test_count_table_in_any_request_order(sequence, family, k):
+    spec = ColoredFamilySpec(family, k)
+    reference = _knapsack(family, k)
+    orders = [1, 2, 3, 17, 18, 64, 100, 101, 163, 200]
+    if sequence == "falling":
+        orders.reverse()
+    elif sequence == "shuffled":
+        random.Random(k).shuffle(orders)
+    for order in orders:
+        assert _count_table(spec, order) == reference[:order]
+        assert count(spec, order - 1) == reference[order - 1]
+    assert len(partitions._TABLES._kept[_key(spec)]) == 200
+
+
+def test_first_families_share_one_kept_table():
+    assert count(a(1), 99) == count(b(1), 99)
+    assert list(partitions._TABLES._kept) == [(1, 1)]
+    assert count(b(1), 149) == _knapsack(Family.ODD_COLORED, 1)[149]
+    assert list(partitions._TABLES._kept) == [(1, 1)]
+    assert len(partitions._TABLES._kept[(1, 1)]) == 150
+
+
+def test_mutating_a_returned_table_leaves_the_kept_one():
+    reference = _knapsack(Family.EVEN_COLORED, 3)
+    for order in (80, 50, 120):  # built, sliced, continued
+        table = _count_table(b(3), order)
+        table[order // 2] = -1
+        table.append(7)
+        table.reverse()
+    assert _count_table(b(3), 120) == reference[:120]
+    assert _count_table(b(3), 150) == reference[:150]
+    assert [count(b(3), n) for n in (0, 25, 60)] == [reference[n] for n in (0, 25, 60)]
+
+
+def test_kept_bits_stay_within_the_budget(monkeypatch):
+    # a budget small enough that tables replace and evict each other
+    monkeypatch.setattr(partitions._TABLES, "capacity", 3 * _charge(a(5), 200))
+    rng = random.Random(5)
+    for _ in range(60):
+        spec = ColoredFamilySpec(rng.choice(list(Family)), rng.choice(MEMO_KS))
+        order = rng.randrange(1, 201)
+        assert _count_table(spec, order) == _knapsack(spec.family, spec.colors)[:order]
+        assert _charges_add_up()
+    # each table's charge bounds the bits its counts take
+    for key, table in partitions._TABLES._kept.items():
+        bits = sum(c.bit_length() for c in table)
+        assert bits <= partitions._TABLES._charges[key][1]
+    # at the real budget, counts of some 26 Mbit are answered, not kept
+    monkeypatch.undo()
+    assert partitions._TABLES.capacity == 2**24 < _charge(a(10**14), 2)
+    assert count(a(10**14), 1) == 10**14
+    assert (10**14, 1) not in partitions._TABLES._kept
+    assert _charges_add_up()
+
+
+def test_threads_share_the_kept_tables():
+    # more threads than cores, switching often, on one spec at rising,
+    # falling and scattered n, so that they continue each other's tables
+    reference = _knapsack(Family.ODD_COLORED, 5)
+    failures = []
+
+    def work(seed):
+        try:
+            ns = list(range(1, 200, 7))
+            if seed % 3 == 1:
+                ns.reverse()
+            elif seed % 3 == 2:
+                random.Random(seed).shuffle(ns)
+            for n in ns:
+                if count(a(5), n) != reference[n]:
+                    failures.append(n)
+        except Exception as exc:  # a thread's exception is otherwise lost
+            failures.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(seed,)) for seed in range(6)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert not failures
+    assert partitions._TABLES._kept[(5, 1)] == tuple(reference[:198])
+    assert _charges_add_up()
+
+
+def test_refusal_ignores_the_kept_tables(monkeypatch):
+    table = _count_table(a(1), 2001)
+    assert count(a(10**9), 1) == 10**9
+    with pytest.raises(ValueError):
+        count(a(1), 14142)
+    with pytest.raises(ValueError):
+        count(a(10**9), 1000)
+    # a limit that falls inside a kept table still refuses past it
+    monkeypatch.setattr(partitions, "_MAX_DP_WORK", _dp_work(a(1), 1001))
+    assert count(a(1), 1000) == table[1000]
+    with pytest.raises(ValueError):
+        count(a(1), 1001)
+    assert len(partitions._TABLES._kept[(1, 1)]) == 2001
+
+
+@pytest.mark.slow
+def test_largest_accepted_count_with_a_table_kept():
+    _count_table(a(1), 2001)
+    assert count(a(1), 14141) == count(b(1), 14141)
+    assert len(partitions._TABLES._kept[(1, 1)]) == 14142
 
 
 def test_work_estimate_limit_edges():

@@ -216,7 +216,7 @@ def _cold(call):
 
 
 def _memo_within_bound():
-    kept = congruence._MEMO._series
+    kept = congruence._MEMO._kept
     size = sum(series.order for series in kept.values())
     return congruence._MEMO.size == size <= congruence._MEMO.capacity == 2**16
 
@@ -249,7 +249,7 @@ def test_memo_keeps_every_result(calls):
                 expr = family_expression(ColoredFamilySpec(family, k))
                 assert series == eval_eta(expr, order, modulus=m)
         assert _memo_within_bound()
-    for (family, k, m), series in congruence._MEMO._series.items():
+    for (family, k, m), series in congruence._MEMO._kept.items():
         expr = family_expression(ColoredFamilySpec(family, k))
         assert series == eval_eta(expr, series.order, modulus=m)
 
@@ -295,7 +295,7 @@ def test_memo_bound_and_eviction(monkeypatch):
     monkeypatch.setattr(congruence._MEMO, "capacity", 300)
     list(_family_sweep(Family.ODD_COLORED, [1, 2], 100))
     list(_family_sweep(Family.EVEN_COLORED, [1], 100, 7))
-    kept = congruence._MEMO._series
+    kept = congruence._MEMO._kept
     assert list(kept) == [(Family.ODD_COLORED, 1, None), (Family.ODD_COLORED, 2, None),
                           (Family.ODD_COLORED, 1, 7)]
     # a_1 is used again, so a_2 is now the least recently used and goes
@@ -346,7 +346,7 @@ def test_memo_shared_by_threads(monkeypatch):
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert not failures
-    assert congruence._MEMO.size == sum(s.order for s in congruence._MEMO._series.values())
+    assert congruence._MEMO.size == sum(s.order for s in congruence._MEMO._kept.values())
     assert congruence._MEMO.size <= 100
 
 
