@@ -25,7 +25,6 @@ from functools import lru_cache, reduce
 from importlib import resources
 from typing import Callable, Iterable, Iterator
 
-from . import _kernels_py as kernels
 from .etaq import (
     _CLOSED_FORMS,
     _PSI,
@@ -195,32 +194,26 @@ class _SweepMemo(_Memo):
 _MEMO = _SweepMemo(2**16)
 
 
-def _family_ratio(family: Family, k0: int, k: int) -> tuple[tuple[int | str, int], ...]:
-    """The factors of family_expression(k) / family_expression(k0), k0 = 0
-    standing for the series 1, as the sweep applies them: each product
-    by f2 that meets a division by f1 is a product by psi = f2^2/f1 (the
-    key _PSI) and a division by f2 instead.  So family a steps by
-    psi / f2 and starts from 1/f1; family b has no product by f2."""
-    step = dict(family_expression(ColoredFamilySpec(family, k)).terms[0].factors)
-    if k0:
-        for s, e in family_expression(ColoredFamilySpec(family, k0)).terms[0].factors:
-            step[s] = step.get(s, 0) - e
-    g = min(step.get(2, 0), -step.get(1, 0))
-    if g <= 0:
-        return EtaTerm.make(1, 0, step).factors
-    for s, e in _CLOSED_FORMS[_PSI].product.items():
-        step[s] -= g * e
-    return ((_PSI, g), *EtaTerm.make(1, 0, step).factors)
+def _family_ratio(family: Family, k: int) -> tuple[tuple[int | str, int], ...]:
+    """The factors of family_expression(k) / family_expression(k - 1) as
+    the sweep applies them: 1/f1 for k = 1, from the series 1, and past
+    it the one-color step, f2/f1 in family a and 1/f2 in family b.  f2/f1
+    is applied as psi/f2, psi = f2^2/f1 (the key _PSI), so no step
+    multiplies by f2 or divides by f1."""
+    if k == 1:
+        return ((1, -1),)
+    if family is Family.ODD_COLORED:
+        return ((_PSI, 1), (2, -1))
+    return ((2, -1),)
 
 
-def _f2_inverse(member1, f1, order: int, m: int) -> list[int]:
-    """1/f2 mod m through the order, as P(q^2) for P = 1/f1, member 1 of
-    either family: P's first ceil(order/2) coefficients at the even
-    exponents.  A member 1 shorter than that is continued by one division
-    pass through ceil(order/2)."""
+def _f2_inverse(member1, order: int) -> list[int] | None:
+    """1/f2 through the order, as P(q^2) for P = 1/f1, member 1 of either
+    family: P's first ceil(order/2) coefficients at the even exponents;
+    None where member1 is shorter than that."""
     half = (order + 1) // 2
     if len(member1) < half:
-        member1 = _apply_factors(None, ((1, -1),), half, m, member1, {1: f1})
+        return None
     inverse = [0] * order
     inverse[::2] = member1[:half]
     return inverse
@@ -233,20 +226,19 @@ def _family_sweep(family: Family, ks: Iterable[int], order: int,
     eval_eta(..., modulus=modulus).  This is the package's one source of
     family series for the verifiers.
 
-    The series form one chain, member k stepped from member k-1 by the
-    ratio of their eta-quotients through eval_eta's own pass loop
-    (etaq._apply_factors), exactly at any truncation: a division by f1
-    from the series 1 to k = 1, then per color, for family a, a product
-    by Gauss's psi = f2^2/f1 = sum_{n>=0} q^(n(n+1)/2) and a division by
-    f2, since f2/f1 = psi/f2, and for family b a division by f2; so k
-    costs the 2k-1 (or k) passes of expanding it directly.  Below order
-    N, psi has about sqrt(2N) nonzeros and f2 about 2*sqrt(N/3), against
-    f1's 2*sqrt(2N/3): a step of family a costs about 2.56*N*sqrt(N)
+    The series form one chain, walked one member at a time: member k is
+    member k-1 times the ratio of their eta-quotients (_family_ratio),
+    through eval_eta's own pass loop (etaq._apply_factors), exactly at
+    any truncation: a division by f1 from the series 1 to k = 1, then per
+    color, for family a, a product by Gauss's
+    psi = f2^2/f1 = sum_{n>=0} q^(n(n+1)/2) and a division by f2, since
+    f2/f1 = psi/f2, and for family b a division by f2; so k costs the
+    2k-1 (or k) passes of expanding it directly.  Below order N, psi has
+    about sqrt(2N) nonzeros and f2 about 2*sqrt(N/3), against f1's
+    2*sqrt(2N/3): a step of family a costs about 2.56*N*sqrt(N)
     additions where a product by f2 and a division by f1 cost about
     2.78*N*sqrt(N) (at N = 2107, 65 + 53 nonzeros against 53 + 75).
-    f1, f2 and psi are built once per sweep, and a run of members that
-    are neither read from the memo, nor kept, nor yielded is crossed by
-    one call.
+    f1, f2 and psi are built once per sweep.
 
     psi is offered to the sweep only, never to eval_eta, which expands
     every factor from Euler's pentagonal sum alone (etaq._EULER).  So
@@ -255,37 +247,35 @@ def _family_sweep(family: Family, ks: Iterable[int], order: int,
     (etaq._CLOSED_FORMS[_PSI]) shows as a mismatch with either.
 
     With `modulus` set, the products pack into one big-int product each
-    (see qpart._kernels_py), and so do the divisions by f2: f2 is f1 at
+    (see qpart._kernels_py), and so can the divisions by f2: f2 is f1 at
     q -> q^2, so 1/f2 = P(q^2) for P = 1/f1, member 1 of either family,
-    and P through ceil(N/2) gives 1/f2 through N (_f2_inverse), which
-    the sweep hands to _apply_factors.  A step of family a is then two
-    packed products and one of family b one; at N = 2107 mod 7 they
-    take about 1.7 and 0.8 ms, against 5.2 and 2.2 ms by the slice loop
-    and the recurrence (Python 3.11.7, 2-core x86-64 host, best of 7).
-    P is the chain's own first division by f1, or member 1 as the memo
-    holds it, once it reaches ceil(N/2); a chain that starts past
-    member 1 without that runs one pass more, P through ceil(N/2)
-    (continuing a shorter kept P), in place of the division by f1 the
-    chain skips.  A step that continues a kept prefix stays online on
-    the recurrence, and so does a chain that crosses member 1 in one
-    call from the series 1 with no P kept.  eval_eta's divisions all
-    stay the recurrence, so it stays an independent check of this lane
-    too.
+    and P through ceil(N/2) gives 1/f2 through N (_f2_inverse).  Once
+    member 1 reaches ceil(N/2), as the chain's own first division by f1
+    or as the memo holds it, the sweep hands that inverse to
+    _apply_factors, and kernels.div decides whether its product packs;
+    a chain that starts past member 1 with no P kept that long divides
+    by f2 by the recurrence.  A step of family a is then two packed
+    products and one of family b one; at N = 2107 mod 7 they take about
+    1.7 and 0.8 ms, against 5.2 and 2.2 ms by the slice loop and the
+    recurrence (Python 3.11.7, 2-core x86-64 host, best of 7).  A step
+    that continues a kept prefix stays online on the recurrence.
+    eval_eta's divisions all stay the recurrence, so it stays an
+    independent check of this lane too.
 
-    Every member stepped through is kept in a memo of the process
-    (_MEMO), by family, k and lane, at its longest order; member 1 is
-    1/f1 in both families and is kept once for both.  Of a chain longer
-    than the memo's capacity // order members, only the newest are
-    kept, as the memo would drop the others first.  The chain starts
-    from the kept member with the largest k' <= min(ks) in the same lane
-    that reaches the order, truncated, which is exact, or else from the
-    series 1; so a chain of either family starts from a kept 1/f1.  A
-    later member kept at the order is truncated too; one kept at a
-    shorter order is continued.  Every pass is online,
-    coefficient t depending only on those below t, so the step's
-    product computes only the coefficients past the kept prefix and its
-    division continues the recurrence after it: a request a few
-    coefficients past a kept chain pays for those coefficients only.
+    Every member walked is kept in a memo of the process (_MEMO), by
+    family, k and lane, at its longest order; member 1 is 1/f1 in both
+    families and is kept once for both.  The memo drops the least
+    recently used first, so of a chain longer than its capacity // order
+    members only the newest stay.  The chain starts from the kept member
+    with the largest k' <= min(ks) in the same lane that reaches the
+    order, truncated, which is exact, or else from the series 1; so a
+    chain of either family starts from a kept 1/f1.  A later member kept
+    at the order is truncated too; one kept at a shorter order is
+    continued.  Every pass is online, coefficient t depending only on
+    those below t, so the step's product computes only the coefficients
+    past the kept prefix and its division continues the recurrence after
+    it: a request a few coefficients past a kept chain pays for those
+    coefficients only.
 
     Before the memo is read, the work of a direct expansion of the
     largest k, plus one output series per further k, is refused above
@@ -297,10 +287,10 @@ def _family_sweep(family: Family, ks: Iterable[int], order: int,
     """
     if order < 1:
         raise ValueError("order must be >= 1")
-    ks = sorted(set(ks))
+    ks = set(ks)
     if not ks:
         return
-    first, last = ColoredFamilySpec(family, ks[0]), ColoredFamilySpec(family, ks[-1])
+    first, last = ColoredFamilySpec(family, min(ks)), ColoredFamilySpec(family, max(ks))
     m = None if modulus is None else _modulus_value(modulus)
     _refuse_above_limit(_expansion_work(family_expression(last), order)
                         + order * (len(ks) - 1))
@@ -308,44 +298,27 @@ def _family_sweep(family: Family, ks: Iterable[int], order: int,
     coeffs = None if series is None else series.coeffs[:order]
     if k == first.colors:
         yield k, series.truncate(order)
-    unit = _family_ratio(family, 1, 2)
     fks = {s: _pochhammer_coeffs(s, order) for s in (1, 2)}
     if family is Family.ODD_COLORED:
         fks[_PSI] = _closed_form(_CLOSED_FORMS[_PSI], order)
-    # lane m: 1/f2 = P(q^2), P = member 1 = 1/f1, for the steps that
-    # divide by f2 without a kept prefix, where that product packs; built
-    # once P reaches ceil(order/2), or with the one pass more of
-    # _f2_inverse for a chain that starts past member 1
+    # lane m: 1/f2 = P(q^2) once member 1, P = 1/f1, reaches ceil(order/2)
     member1 = kept[1].coeffs if 1 in kept else ()
-    packs = kernels._slot_bytes((order + 1) // 2, order, m) > 0
-    k0, inverses = k, None
-    newest = max(k, last.colors - _MEMO.capacity // order)
-    wanted = set(ks)
-    for s in sorted({j for j in (*ks, *kept) if j > k}.union(range(newest + 1, last.colors + 1))):
-        held = kept.get(s)
+    inverse = None
+    for k in range(k + 1, last.colors + 1):
+        held = kept.get(k)
         if held is not None and held.order >= order:
             coeffs = held.coeffs[:order]
         else:
-            known = () if held is None else held.coeffs
-            if (packs and inverses is None and (not known or s - 1 > k)
-                    and (k0 > 1 or 2 * len(member1) >= order)):
-                inverses = {2: _f2_inverse(member1, fks[1], order, m)}
-            if known and s - 1 > k:  # a kept prefix is continued by one color's step
-                coeffs = _apply_factors(coeffs, _family_ratio(family, k, s - 1), order, m,
-                                        (), fks, inverses)
-                k = s - 1
-            coeffs = _apply_factors(coeffs, unit if k and s == k + 1 else
-                                    _family_ratio(family, k, s), order, m, known, fks,
-                                    inverses)
-        k = s
+            if m is not None and inverse is None:
+                inverse = _f2_inverse(member1, order)
+            coeffs = _apply_factors(coeffs, _family_ratio(family, k), order, m,
+                                    () if held is None else held.coeffs, fks, {2: inverse})
         if k == 1:
             member1 = coeffs
-        if k > newest or k in wanted:
-            series = TruncatedSeries(coeffs)
-            if k > newest:
-                _MEMO.keep(family, k, m, series)
-            if k in wanted:
-                yield k, series
+        series = TruncatedSeries(coeffs)
+        _MEMO.keep(family, k, m, series)
+        if k in ks:
+            yield k, series
 
 
 def verify_claim(claim: CongruenceClaim, upto: int,
@@ -363,7 +336,8 @@ def verify_claim(claim: CongruenceClaim, upto: int,
     With `modular` set the expansion runs mod the claim modulus (faster;
     a counterexample value is then only known as a residue): each pass
     of the sweep but its division by f1 is then one packed big-int
-    product, the divisions by f2 through 1/f2 = P(q^2), P = 1/f1 (see
+    product, the divisions by f2 through 1/f2 = P(q^2), P = 1/f1, where
+    the chain builds P or finds it kept through ceil(order/2) (see
     _family_sweep).  a_5(7n+6) at upto 300 then takes 0.0095 s, against
     0.024 s by the slice loop and the recurrence and 0.040 s in the
     exact lane (best of 5, cold memo, Python 3.11.7, 2 cores).
@@ -683,7 +657,8 @@ def scan(k_values: Iterable[int], modulus: int, upto: int,
     on its own would cost 2k - 1 (or k) passes per k.  Each series is
     checked in all m classes.  With `modular` set every pass but the
     division by f1 is one packed big-int product, the divisions by f2
-    through 1/f2 = P(q^2), P = 1/f1 (see _family_sweep): k = 1..8 mod 7
+    through 1/f2 = P(q^2), P = 1/f1, where the chain builds P or finds
+    it kept through ceil(order/2) (see _family_sweep): k = 1..8 mod 7
     at upto 300 takes 0.015 s, against 0.040 s by the slice loop and the
     recurrence and 0.068 s in the exact lane, and family b mod 11
     0.022 s against 0.036-0.042 s (best of 5, cold memo, Python 3.11.7,

@@ -385,8 +385,10 @@ def _apply_factors(acc: Sequence[int] | None, factors, n: int, m: int | None,
     taken from `fks` where it holds k, else built through order n; a
     key k that is not a scale, such as the family sweep's _PSI, stands
     for the series fks holds under it.  `inverses` may hold 1/fk mod m
-    through order n under k, which each quotient by fk hands to
-    kernels.div; the family sweep supplies 1/f2 in its modular lane.
+    through order n, or None, under k, which each quotient by fk hands
+    to kernels.div, which decides whether the product packs; the family
+    sweep supplies 1/f2 in its modular lane once 1/f1 reaches
+    ceil(n/2).
     """
     factors = sorted(factors, key=lambda f: f[1] < 0)
     start = len(known)

@@ -197,6 +197,7 @@ class TruncatedSeries:
 
     def __mul__(self, other: Union["TruncatedSeries", int]) -> "TruncatedSeries":
         if isinstance(other, int):
+            other = _int_value(other, "scalar")
             return TruncatedSeries([c * other for c in self._coeffs])
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
@@ -219,6 +220,7 @@ class TruncatedSeries:
     def __pow__(self, exponent: int) -> "TruncatedSeries":
         if not isinstance(exponent, int):
             return NotImplemented
+        exponent = _int_value(exponent, "exponent")
         if exponent < 0:
             return self.inverse() ** (-exponent)
         result = TruncatedSeries.one(self.order)
@@ -236,6 +238,7 @@ class TruncatedSeries:
 
     def substitute(self, m: int) -> "TruncatedSeries":
         """The series a(q^m) at the same order."""
+        m = _int_value(m, "substitution scale")
         if m < 1:
             raise ValueError("substitution scale must be >= 1")
         if m == 1:
@@ -250,15 +253,17 @@ class TruncatedSeries:
 
     def shifted(self, s: int) -> "TruncatedSeries":
         """Multiplication by q^s at the same order (top coefficients drop off)."""
+        s = _int_value(s, "shift")
         if s < 0:
             raise ValueError("shift must be >= 0")
         if s == 0:
             return self
         n = self.order
-        return TruncatedSeries([0] * min(s, n) + list(self._coeffs[: n - s]))
+        return TruncatedSeries([0] * min(s, n) + list(self._coeffs[: max(n - s, 0)]))
 
     def truncate(self, order: int) -> "TruncatedSeries":
         """Restriction to a smaller order."""
+        order = _int_value(order, "order")
         if not 1 <= order <= self.order:
             raise ValueError(f"cannot truncate order {self.order} to {order}")
         return self if order == self.order else TruncatedSeries(self._coeffs[:order])
@@ -273,6 +278,7 @@ class TruncatedSeries:
         is coefficient m*n + r of self (the q^r prefactor is stripped and
         q^m is rescaled to q).  Result order is floor((N - r + m - 1)/m).
         """
+        m, r = _int_value(m, "dissection modulus"), _int_value(r, "residue")
         if m < 1:
             raise ValueError("dissection modulus must be >= 1")
         if not 0 <= r < m:
@@ -287,6 +293,7 @@ class TruncatedSeries:
 
     def support_residues(self, m: int) -> frozenset[int]:
         """Residues n mod m over all stored exponents n with nonzero coefficient."""
+        m = _int_value(m, "modulus")
         if m < 1:
             raise ValueError("modulus must be >= 1")
         return frozenset(n % m for n, c in enumerate(self._coeffs) if c)

@@ -477,40 +477,46 @@ def test_modular_sweep_is_the_exact_sweep_reduced(family, state):
 @pytest.mark.parametrize("family", list(Family))
 @pytest.mark.parametrize("state", MEMO_STATES)
 def test_a_wrong_inverse_of_f2_shows_in_the_modular_sweep(family, state, monkeypatch):
-    build = congruence._f2_inverse
+    """Cold, the chain builds 1/f1 and divides by f2 through the inverse
+    it gives, so a wrong inverse shows; with 1/f1 kept short or evicted
+    no inverse is built and the sweep divides by the recurrence."""
+    build, built = congruence._f2_inverse, []
 
     def wrong(*args):
         inverse = build(*args)
-        inverse[1] += 1  # 1/f2 has no odd exponents
+        if inverse is not None:
+            built.append(args)
+            inverse[1] += 1  # 1/f2 has no odd exponents
         return inverse
 
     monkeypatch.setattr(congruence, "_f2_inverse", wrong)
     for order in SWEEP_ORDERS[2:]:  # the shorter orders run below _PACK_FROM
         exact = _exact_members(family, order)
         for m in SWEEP_MODULI:
+            built.clear()
             swept, expected = _swept_in_memo_state(state, family, order, m, exact)
-            assert swept != expected, (order, m)
+            if state == "cold":
+                assert built and swept != expected, (order, m)
+            else:
+                assert not built and swept == expected, (order, m)
 
 
 @pytest.mark.parametrize("family", list(Family))
 def test_modular_sweep_runs_the_passes_of_the_exact_one(family, kernel_passes):
-    """The same passes at the same lengths, each f2 division now a
-    product by 1/f2; the one pass more, 1/f1 through ceil(order/2), runs
-    only where the chain starts past member 1 and 1/f1 is not kept that
-    long, in place of the division by f1 that the chain skips."""
-    order, m, half = 101, 7, 51
+    """The same passes at the same lengths, each f2 division a product
+    by 1/f2 where 1/f1 reaches ceil(order/2) and a recurrence where it
+    does not; no pass builds 1/f1 for the inverse alone."""
+    order, m = 101, 7
     kernel_passes.clear()
     exact = _exact_members(family, order)
     exact_passes = list(kernel_passes)
     steps = {Family.ODD_COLORED: [("mul", order), ("div", order)],
              Family.EVEN_COLORED: [("div", order)]}[family]
-    for state, extra, colors in (("cold", [], 7),
-                                 ("short 1/f1", [("div", half - order // 5)], 6),
-                                 ("1/f1 evicted", [("div", half)], 5)):
+    for state, colors in (("cold", 7), ("short 1/f1", 6), ("1/f1 evicted", 5)):
         congruence._MEMO.clear()
         kernel_passes.clear()
         _swept_in_memo_state(state, family, order, m, exact)
-        assert kernel_passes == extra + (exact_passes if state == "cold" else steps * colors)
+        assert kernel_passes == (exact_passes if state == "cold" else steps * colors)
     assert exact_passes == [("div", order)] + steps * 7
 
 

@@ -315,6 +315,27 @@ def test_memo_bound_and_eviction(monkeypatch):
     assert congruence._MEMO.size == 250
 
 
+@pytest.mark.parametrize("family", list(Family))
+@pytest.mark.parametrize("m", [None, 7])
+def test_a_chain_longer_than_the_memo_keeps_its_newest_members(family, m, monkeypatch,
+                                                              kernel_passes):
+    order = 60
+    monkeypatch.setattr(congruence._MEMO, "capacity", 5 * order)
+    swept = dict(_family_sweep(family, range(1, 13), order, m))
+    kept = congruence._MEMO._kept
+    assert sorted(kept) == [(family, k, m) for k in range(8, 13)]
+    assert congruence._MEMO.size <= congruence._MEMO.capacity
+    for k, series in swept.items():
+        assert series == eval_eta(family_expression(ColoredFamilySpec(family, k)), order,
+                                  modulus=m)
+    # the next chain starts from the kept member 12: one step per color
+    kernel_passes.clear()
+    list(_family_sweep(family, [12, 14], order, m))
+    step = [("mul", order), ("div", order)] if family is Family.ODD_COLORED else [("div", order)]
+    assert kernel_passes == step * 2
+    assert sorted(kept) == [(family, k, m) for k in range(10, 15)]
+
+
 def test_memo_shared_by_threads(monkeypatch):
     # more threads than cores, switching often, on three keys and a memo
     # small enough that the threads replace and evict each other's series

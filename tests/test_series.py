@@ -68,6 +68,25 @@ def test_non_integer_modulus_refused(m, error):
         eval_eta("f1", 5, modulus=m)
 
 
+@pytest.mark.parametrize("call", [
+    lambda x: S(1, 2, 3).support_residues(x),
+    lambda x: S(1, 2, 3).substitute(x),
+    lambda x: S(1, 2, 3).dissect(x, 0),
+    lambda x: S(1, 2, 3).dissect(2, x),
+    lambda x: S(1, 2, 3).shifted(x),
+    lambda x: S(1, 2, 3).truncate(x),
+    lambda x: S(1, 2, 3) ** x,
+    lambda x: S(1, 2, 3) * x,
+    lambda x: x * S(1, 2, 3),
+], ids=["support_residues", "substitute", "dissect-m", "dissect-r", "shifted", "truncate",
+        "pow", "mul", "rmul"])
+def test_integer_arguments_refuse_non_integers(call):
+    # a bool or a float is refused, not taken as 1 or used as a float
+    for bad in (True, 1.0, 2.5):
+        with pytest.raises(TypeError):
+            call(bad)
+
+
 # -- add / mul ---------------------------------------------------------------
 
 def test_add_cancellation():
@@ -194,6 +213,8 @@ def test_shifted():
     assert S(1, 2, 3).shifted(1) == S(0, 1, 2)
     assert S(1, 2, 3).shifted(0) == S(1, 2, 3)
     assert S(1, 2).shifted(5) == S(0, 0)
+    # order < s < 2 * order: the kept slice would end at a negative index
+    assert S(1, 2, 3, 4, 5).shifted(7) == S(0, 0, 0, 0, 0)
 
 
 # -- reduce_mod --------------------------------------------------------------
