@@ -13,17 +13,38 @@ Coefficient sequences are sequences of Python ints; with `m` set the
 result is reduced into 0..m-1, otherwise all arithmetic is exact.
 
 In the modular lane residues are small, and a product from
-coefficient 0 on is one multiplication of two Python ints instead
-(Kronecker substitution; Harvey, Faster polynomial multiplication via
-multipoint Kronecker substitution, J. Symbolic Comput. 2009): each
-operand is packed as one little-endian int with w-byte slots, w the
-byte length of the slot bound min(nnz a, nnz b) * (m-1)^2, which no
-coefficient of the product exceeds, and the low n slots of the
-product are unpacked and reduced.  CPython multiplies ints of that
-size by Karatsuba in C.  This runs while the bound is below 2^64, so
-that a slot fits an array('Q') word: for dense operands at n = 2107,
-for every m up to about 2^26.  A division by b through a supplied
-inverse 1/b is such a product too.
+coefficient 0 on packs each residue series into one little-endian
+Python int with w-byte slots, so that big-int arithmetic in C does the
+coefficient work (Kronecker substitution; Harvey, Faster polynomial
+multiplication via multipoint Kronecker substitution, J. Symbolic
+Comput. 2009).  The slots must hold every coefficient of the product
+exactly and fit an array('Q') word, so a product packs only while its
+slot bound is below 2^64; the low n slots are then unpacked and
+reduced.  Three paths use this:
+
+* A product by a sparse operand, with nnz^2 <= _SPARSE * n = 10 * n
+  (every fk and psi), is a sum of shifted copies of the packed dense
+  one, one big-int add per nonzero coefficient; negative coefficients
+  are kept from borrowing across slots by an offset in every slot, a
+  multiple of m.  Slot bound sum |a_i| * (m-1) + offset: 2 bytes at
+  n = 2107 for m <= 13, and it packs there up to m of about 2^57.  Any
+  other product is one Karatsuba product of the two packed operands,
+  slot bound min(nnz a, nnz b) * (m-1)^2: for dense operands at
+  n = 2107 up to m of about 2^26.  At n = 2107 mod 7 a product by f1,
+  f2 or psi takes 0.36-0.40 ms by shifted adds, 0.67-0.70 ms by
+  Karatsuba and 2.6-4.3 ms by the slice loop.
+* A division by b = c(q^s), given 1/c, is one Karatsuba product per
+  class r mod s, c[r::s] = a[r::s] * (1/c), the inverse packed once:
+  the family sweep divides by f2 = f1(q^2) through 1/f1, two products
+  of length 1054 at n = 2107, in 0.56 ms, against 0.75 ms as one
+  product by 1/f2 and 1.9 ms by the recurrence.
+* inverse_by_halving builds 1/f1 from Gauss's psi = f2^2/f1 as
+  psi * (1/f1)(q^2)^2, one packed square and one product by psi per
+  halving, and checks it by one product by f1: for the four moduli of
+  the benchmark at orders near 2100 in 7.2 ms, against 10.6 ms by the
+  recurrence, and at n = 20000 mod 7 in 30 ms against 71 ms.
+
+Measured with Python 3.11.7 on a 2-core x86-64 host, best of 15.
 """
 
 import sys
@@ -46,16 +67,21 @@ def mul(a, b, n, m=None, start=0):
     of a; other coefficients add a scaled copy of b.  A product whose
     first coefficients are already known thus costs only its new ones.
 
-    With m set, start 0 and a slot bound min(nnz a, nnz b) * (m-1)^2
-    below 2^64, nnz counting the nonzero entries below n, the product
-    is instead one packed big-int product (_mul_packed), from
-    n = _PACK_FROM = 32 on.  Measured with Python 3.11.7 on a 2-core
-    x86-64 host, best of 7, multiplying a residue series mod 7 or 13 by
-    f1 or f2: the slice loop takes 1.3-1.4 us at n = 1 against 4.8-5.1
-    us packed, and 8.4-9.1 us against 9.1-10.1 us by f1 at n = 20; the
-    two meet at n = 25 by f1 and n = 40 by f2, the sparser one.  At
-    n = 2107 by f1 mod 7 the loop takes 5.0 ms and the packed product
-    0.8 ms.
+    With m set and start 0 the product is instead packed
+    (_mul_packed), from n = _PACK_FROM = 32 on, where it packs: shifted
+    adds of the packed b, or of the packed a, where the other operand
+    is sparse, nnz^2 <= _SPARSE * n, nnz counting the nonzero entries
+    below n; else one Karatsuba product of both.  Measured with Python
+    3.11.7 on a 2-core x86-64 host, best of 7, multiplying a residue
+    series mod 7 or 13 by f1 or f2: the slice loop takes 1.3-1.4 us at
+    n = 1 against 4.8-5.1 us packed, and 8.4-9.1 us against 9.1-10.1 us
+    by f1 at n = 20; the two meet at n = 25 by f1 and n = 40 by f2, the
+    sparser one.  At n = 2107 by f1 mod 7 the loop takes 4.3 ms, the
+    Karatsuba product 0.70 ms and the shifted adds 0.40 ms.  The
+    shifted adds cost about nnz * n * w byte operations, Karatsuba
+    about (n * w)^1.58: with random +-1 entries they meet at nnz^2
+    between 14 * n and 20 * n for n from 64 to 20000, m = 7 and 13
+    (best of 7).
     """
     packed = None if start else _mul_packed(a, b, n, m)
     if packed is not None:
@@ -88,16 +114,22 @@ def mul(a, b, n, m=None, start=0):
 _FEW_TERMS = 20
 
 
-def div(a, b, n, m=None, known=(), inverse=None):
+def div(a, b, n, m=None, known=(), inverse=None, scale=1):
     """Quotient a / b, truncated to length n, for b[0] = +1 or -1, whose
     first len(known) coefficients are `known`.
 
-    `inverse`, if given, holds 1/b mod m through order n.  With no known
-    prefix, the quotient is then a * inverse, where that product packs
-    as in mul (m set, n >= _PACK_FROM, slot bound below 2^64); anywhere
-    else the inverse is not read and the recurrence below runs.  At
-    n = 2107 mod 7, dividing a residue series by f2 takes 0.8 ms so,
-    against 2.2 ms by the recurrence.
+    `inverse`, if given, holds 1/b mod m at q -> q^(1/scale) through
+    order ceil(n/scale), for b a series in q^scale: 1/b is inverse at
+    q -> q^scale, as 1/fk is 1/f1 at q -> q^k.  With no known prefix,
+    the quotient's coefficients in each class r mod scale are then one
+    Karatsuba product, c[r::scale] = a[r::scale] * inverse, of the
+    inverse packed once (_div_packed), where those products pack (m
+    set, each at least _PACK_FROM long, slot bound below 2^64);
+    anywhere else the inverse is not read and the recurrence below
+    runs.  At n = 2107 mod 7, dividing a residue series by f2 through
+    1/f1 (scale 2) takes 0.56 ms so, two products of length 1054,
+    against 0.75 ms as one product by 1/f2 through 2107 and 1.9 ms by
+    the recurrence.
 
     Runs c[t] = (a[t] - sum_{j>=1} b[j] * c[t-j]) / b[0] over the
     nonzero b[j] only, for t from len(known) on, so a is read only from
@@ -127,7 +159,7 @@ def div(a, b, n, m=None, known=(), inverse=None):
     b0 = b[0]
     if b0 not in (1, -1):
         raise ValueError(f"cannot divide by a series with constant term {b0}")
-    packed = None if known or inverse is None else _mul_packed(a, inverse, n, m)
+    packed = None if known or inverse is None else _div_packed(a, inverse, n, m, scale)
     if packed is not None:
         return packed
     exponents = [*compress(range(1, n), islice(b, 1, n))]
@@ -185,7 +217,11 @@ def _slot_bytes(terms, n, m):
     2^64 or past it."""
     if m is None or n < _PACK_FROM or not terms:
         return 0
-    bound = terms * (m - 1) ** 2
+    return _bound_bytes(terms * (m - 1) ** 2)
+
+
+def _bound_bytes(bound):
+    """The byte length of a positive slot bound below 2^64, else 0."""
     return (bound.bit_length() + 7) // 8 if bound < 1 << 64 else 0
 
 
@@ -204,30 +240,151 @@ def _pack(x, m, w):
     return int.from_bytes(slots, "little")
 
 
-def _mul_packed(a, b, n, m):
-    """mul(a, b, n, m) as one product of the packed operands through n,
-    or None where it does not pack (see _slot_bytes).  The low n slots
-    of the product are unpacked into array('Q') words by w strided byte
-    copies and reduced.  No slot overflows: coefficient t < n of the
-    product adds at most min(nnz a, nnz b) products of residues, nnz
-    counting the nonzero entries below n, so the slots hold the
-    coefficients exactly."""
-    if m is None or n < _PACK_FROM:
-        return None
-    a, b = a[:n], b[:n]
-    w = _slot_bytes(min(len(a) - a.count(0), len(b) - b.count(0)), n, m)
-    if not w:
-        return None
-    product = _pack(a, m, w) * _pack(b, m, w)
-    raw = product.to_bytes(max(n, len(a) + len(b)) * w, "little")
+def _unpack(x, n, w, m):
+    """The low n w-byte slots of x, each reduced mod m: unpacked into
+    array('Q') words by w strided byte copies."""
+    raw = (x & ((1 << 8 * w * n) - 1)).to_bytes(n * w, "little")
     slots = bytearray(8 * n)
     for j in range(w):
-        slots[j::8] = raw[j:n * w:w]
+        slots[j::8] = raw[j::w]
     words = array("Q")
     words.frombytes(slots)
     if _SWAP:
         words.byteswap()
     return [x % m for x in words]
+
+
+def _div_packed(a, inverse, n, m, scale):
+    """div(a, b, n, m, inverse=inverse, scale=scale) as one packed
+    product per class r mod scale, c[r::scale] = a[r::scale] * inverse,
+    the inverse packed once; or None where they do not pack (see
+    _slot_bytes; the shortest class is held against _PACK_FROM).  No
+    slot overflows: a coefficient of class r adds at most
+    min(nnz a[r::scale], nnz inverse) products of residues."""
+    lengths = [len(range(r, n, scale)) for r in range(scale)]
+    parts = [a[r:n:scale] for r in range(scale)]
+    inverse = inverse[:lengths[0]]
+    terms = min(len(inverse) - inverse.count(0),
+                max(len(part) - part.count(0) for part in parts))
+    w = _slot_bytes(terms, lengths[-1], m)
+    if not w:
+        return None
+    x = _pack(inverse, m, w)
+    out = [0] * n
+    for r, (part, length) in enumerate(zip(parts, lengths)):
+        if part:
+            out[r::scale] = _unpack(x * _pack(part, m, w), length, w, m)
+    return out
+
+
+# A packed product by an operand with at most sqrt(_SPARSE * n) nonzero
+# entries below n runs as shifted adds (_mul_shifted), not Karatsuba.
+_SPARSE = 10
+
+
+def _mul_packed(a, b, n, m):
+    """mul(a, b, n, m) through one packed operand, or None where it does
+    not pack.  Where the sparser operand has nnz nonzero entries below
+    n with nnz^2 <= _SPARSE * n, the product is a sum of shifted copies
+    of the other (_mul_shifted); otherwise it is one product of the
+    two packed operands (see _slot_bytes), a square where a is b, of
+    which the low n slots are unpacked and reduced.  No slot
+    overflows: coefficient t < n of the product adds at most
+    min(nnz a, nnz b) products of residues, so the slots hold the
+    coefficients exactly."""
+    if m is None or n < _PACK_FROM:
+        return None
+    square = a is b
+    a, b = a[:n], b[:n]
+    na, nb = len(a) - a.count(0), len(b) - b.count(0)
+    if nb < na:
+        a, b, na = b, a, nb
+    if na * na <= _SPARSE * n:
+        return _mul_shifted(a, b, n, m)
+    w = _slot_bytes(na, n, m)
+    if not w:
+        return None
+    x = _pack(a, m, w)
+    return _unpack(x * (x if square else _pack(b, m, w)), n, w, m)
+
+
+def _mul_shifted(a, b, n, m):
+    """mul(a, b, n, m) for a sparse a as sum_i a_i * (B << 8w*i), B the
+    dense b packed in w-byte slots, or None where the slots would need
+    more than 8 bytes.  Each a_i is taken as its residue of least
+    absolute value, and a slot of the sum may then go negative by up to
+    neg * (m-1), neg the sum of |a_i| over the negative ones; an offset
+    in every slot, that bound rounded up to a multiple of m, keeps each
+    slot in 0 .. sum |a_i| * (m-1) + offset, the slot bound, and
+    vanishes mod m.  Slots from n on are masked off."""
+    terms, pos, neg = [], 0, 0
+    for i in compress(range(len(a)), a):
+        c = a[i] % m
+        if 2 * c > m:
+            c -= m
+        if c > 0:
+            pos += c
+        elif c < 0:
+            neg -= c
+        else:
+            continue
+        terms.append((i, c))
+    if not terms:  # every a_i vanishes mod m
+        return [0] * n
+    offset = -(-neg * (m - 1) // m) * m
+    w = _bound_bytes((pos + neg) * (m - 1) + offset)
+    if not w:
+        return None
+    x = _pack(b, m, w)
+    total = int.from_bytes(offset.to_bytes(w, "little") * n, "little")
+    shift = 8 * w
+    for i, c in terms:
+        if c == 1:
+            total += x << shift * i
+        elif c == -1:
+            total -= x << shift * i
+        else:
+            total += c * x << shift * i
+    return _unpack(total, n, w, m)
+
+
+# Below this order 1/b is the recurrence, past it a halving step
+# (see inverse_by_halving).
+_HALVING_BASE = 64
+
+
+def inverse_by_halving(b, r, n, m):
+    """1/b mod m through n, for b[0] = +1 or -1 and r = b(q^2)^2 / b(q)
+    mod m through n, such as Gauss's psi = f2^2/f1 for b = f1.
+
+    1/b(q) = r(q) * (1/b)(q^2)^2, so 1/b through n is r times the
+    square of 1/b through ceil(n/2), spread to the even exponents: one
+    packed square and one product by r, which packs as shifted adds
+    where r is sparse.  The halving recurses down to _HALVING_BASE,
+    where div runs.  It runs only where the square through ceil(n/2)
+    packs (see _slot_bytes), and its result is then checked by one
+    product, b * (1/b) = 1, which raises RuntimeError on a mismatch, as
+    a wrong r gives; elsewhere 1/b is div((1,), b, n, m) alone.
+    """
+    h = (n + 1) // 2
+    if n <= _HALVING_BASE or not _slot_bytes(h, h, m):
+        return div((1,), b, n, m)
+    inverse = _halve(b, r, n, m)
+    if mul(b, inverse, n, m) != [1] + [0] * (n - 1):
+        raise RuntimeError(f"1/b mod {m} through {n} by halving fails b * (1/b) = 1")
+    return inverse
+
+
+def _halve(b, r, n, m):
+    """inverse_by_halving(b, r, n, m) unchecked: r * (1/b)(q^2)^2, the
+    square packed, down to _HALVING_BASE."""
+    if n <= _HALVING_BASE:
+        return div((1,), b, n, m)
+    h = (n + 1) // 2
+    half = _halve(b, r, h, m)
+    square = [0] * n
+    square[::2] = mul(half, half, h, m)
+    return mul(r, square, n, m)
 
 
 def _getter(indices):

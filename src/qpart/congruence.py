@@ -23,8 +23,9 @@ import operator
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 from importlib import resources
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, Sequence
 
+from . import _kernels_py as kernels
 from .etaq import (
     _CLOSED_FORMS,
     _PSI,
@@ -207,16 +208,18 @@ def _family_ratio(family: Family, k: int) -> tuple[tuple[int | str, int], ...]:
     return ((2, -1),)
 
 
-def _f2_inverse(member1, order: int) -> list[int] | None:
-    """1/f2 through the order, as P(q^2) for P = 1/f1, member 1 of either
-    family: P's first ceil(order/2) coefficients at the even exponents;
-    None where member1 is shorter than that."""
-    half = (order + 1) // 2
-    if len(member1) < half:
-        return None
-    inverse = [0] * order
-    inverse[::2] = member1[:half]
-    return inverse
+def _f1_inverse(kept: Sequence[int], n: int, m: int) -> Sequence[int]:
+    """P = 1/f1 mod m through n, member 1 of either family, from `kept`,
+    a prefix of P: its first n coefficients where it reaches n; else
+    kept, if not empty, continued by the recurrence; else built by
+    halving from Gauss's psi (kernels.inverse_by_halving), which checks
+    the result where it halves."""
+    if len(kept) >= n:
+        return kept[:n]
+    f1 = _pochhammer_coeffs(1, n)
+    if kept:
+        return kernels.div((1,), f1, n, m, kept)
+    return kernels.inverse_by_halving(f1, _closed_form(_CLOSED_FORMS[_PSI], n), n, m)
 
 
 def _family_sweep(family: Family, ks: Iterable[int], order: int,
@@ -244,38 +247,51 @@ def _family_sweep(family: Family, ks: Iterable[int], order: int,
     every factor from Euler's pentagonal sum alone (etaq._EULER).  So
     the sweep's series stay checked against paths that share no closed
     form with it, eval_eta and the oracle_series DP, and a wrong psi row
-    (etaq._CLOSED_FORMS[_PSI]) shows as a mismatch with either.
+    (etaq._CLOSED_FORMS[_PSI]) shows as a mismatch with either, or,
+    where the modular lane builds 1/f1 from psi, fails that build's
+    check.
 
-    With `modulus` set, the products pack into one big-int product each
-    (see qpart._kernels_py), and so can the divisions by f2: f2 is f1 at
-    q -> q^2, so 1/f2 = P(q^2) for P = 1/f1, member 1 of either family,
-    and P through ceil(N/2) gives 1/f2 through N (_f2_inverse).  Once
-    member 1 reaches ceil(N/2), as the chain's own first division by f1
-    or as the memo holds it, the sweep hands that inverse to
-    _apply_factors, and kernels.div decides whether its product packs;
-    a chain that starts past member 1 with no P kept that long divides
-    by f2 by the recurrence.  A step of family a is then two packed
-    products and one of family b one; at N = 2107 mod 7 they take about
-    1.7 and 0.8 ms, against 5.2 and 2.2 ms by the slice loop and the
-    recurrence (Python 3.11.7, 2-core x86-64 host, best of 7).  A step
-    that continues a kept prefix stays online on the recurrence.
-    eval_eta's divisions all stay the recurrence, so it stays an
-    independent check of this lane too.
+    With `modulus` set, every pass but the continuation of a kept
+    prefix packs residues into big ints (see qpart._kernels_py), where
+    the slot bound allows, which for m <= 13 it does; the products by
+    psi are shifted adds of the packed member, one per nonzero of psi.
+    Member 1, P = 1/f1, is built by halving from psi where nothing is
+    kept (kernels.inverse_by_halving): P through N is psi times the
+    square of P through ceil(N/2) at q -> q^2, one packed square and
+    one product by psi per halving, down to a recurrence through at
+    most 64 coefficients, and the result is checked by one product,
+    f1 * P = 1, which raises RuntimeError on a mismatch.  A division
+    by f2 takes P through ceil(N/2) itself: f2 is f1 at q -> q^2, so
+    1/f2 = P(q^2), and the quotient's even and odd coefficients are
+    two packed products of length about N/2, c[r::2] = a[r::2] * P.
+    P is the chain's member 1 or the kept one; a chain that starts
+    past member 1 continues a shorter kept P through ceil(N/2) by the
+    recurrence, or builds it by halving where none is kept, and keeps
+    neither, as it walks no member 1.  At N = 2107 mod 7 a step of
+    family a takes about 0.36 + 0.56 ms and one of family b 0.56 ms,
+    against 0.67 + 0.75 and 0.75 ms by Karatsuba products and 2.6 + 1.9
+    and 1.9 ms by the slice loop and the recurrence; P takes 1.6 ms,
+    check included, against 2.7 ms by the recurrence (Python 3.11.7,
+    2-core x86-64 host, best of 15).  A step that continues a kept
+    prefix stays online on the recurrence.  eval_eta's divisions all
+    stay the recurrence and it reads no psi, so it stays an independent
+    check of this lane too.
 
-    Every member walked is kept in a memo of the process (_MEMO), by
+    The members walked are kept in a memo of the process (_MEMO), by
     family, k and lane, at its longest order; member 1 is 1/f1 in both
-    families and is kept once for both.  The memo drops the least
-    recently used first, so of a chain longer than its capacity // order
-    members only the newest stay.  The chain starts from the kept member
-    with the largest k' <= min(ks) in the same lane that reaches the
-    order, truncated, which is exact, or else from the series 1; so a
-    chain of either family starts from a kept 1/f1.  A later member kept
-    at the order is truncated too; one kept at a shorter order is
-    continued.  Every pass is online, coefficient t depending only on
-    those below t, so the step's product computes only the coefficients
-    past the kept prefix and its division continues the recurrence after
-    it: a request a few coefficients past a kept chain pays for those
-    coefficients only.
+    families and is kept once for both.  A walk of more members than
+    the memo holds, capacity // order, keeps only its newest
+    capacity // order - 1, so that one member's room stays for the
+    other entries; the memo drops the least recently used first.  The
+    chain starts from the kept member with the largest k' <= min(ks)
+    in the same lane that reaches the order, truncated, which is exact,
+    or else from the series 1; so a chain of either family starts from
+    a kept 1/f1.  A later member kept at the order is truncated too; one
+    kept at a shorter order is continued.  Every pass is online,
+    coefficient t depending only on those below t, so the step's
+    product computes only the coefficients past the kept prefix and its
+    division continues the recurrence after it: a request a few
+    coefficients past a kept chain pays for those coefficients only.
 
     Before the memo is read, the work of a direct expansion of the
     largest k, plus one output series per further k, is refused above
@@ -298,25 +314,31 @@ def _family_sweep(family: Family, ks: Iterable[int], order: int,
     coeffs = None if series is None else series.coeffs[:order]
     if k == first.colors:
         yield k, series.truncate(order)
+    # a walk longer than the memo holds keeps only its newest members,
+    # all but one member's room
+    room = _MEMO.capacity // order
+    oldest = k + 1 if last.colors - k <= room else last.colors - room + 2
     fks = {s: _pochhammer_coeffs(s, order) for s in (1, 2)}
     if family is Family.ODD_COLORED:
         fks[_PSI] = _closed_form(_CLOSED_FORMS[_PSI], order)
-    # lane m: 1/f2 = P(q^2) once member 1, P = 1/f1, reaches ceil(order/2)
     member1 = kept[1].coeffs if 1 in kept else ()
-    inverse = None
+    inverse = None  # lane m: P = 1/f1 through ceil(order/2), for the divisions by f2
     for k in range(k + 1, last.colors + 1):
         held = kept.get(k)
         if held is not None and held.order >= order:
             coeffs = held.coeffs[:order]
+        elif k == 1 and m is not None:
+            coeffs = _f1_inverse(member1, order, m)
         else:
-            if m is not None and inverse is None:
-                inverse = _f2_inverse(member1, order)
+            if m is not None and held is None and inverse is None:
+                inverse = _f1_inverse(member1, (order + 1) // 2, m)
             coeffs = _apply_factors(coeffs, _family_ratio(family, k), order, m,
                                     () if held is None else held.coeffs, fks, {2: inverse})
         if k == 1:
             member1 = coeffs
         series = TruncatedSeries(coeffs)
-        _MEMO.keep(family, k, m, series)
+        if k >= oldest:
+            _MEMO.keep(family, k, m, series)
         if k in ks:
             yield k, series
 
@@ -334,13 +356,13 @@ def verify_claim(claim: CongruenceClaim, upto: int,
     work, the claim's own order is used, so a claim is refused, with
     the same message, exactly when its own expansion would be.
     With `modular` set the expansion runs mod the claim modulus (faster;
-    a counterexample value is then only known as a residue): each pass
-    of the sweep but its division by f1 is then one packed big-int
-    product, the divisions by f2 through 1/f2 = P(q^2), P = 1/f1, where
-    the chain builds P or finds it kept through ceil(order/2) (see
-    _family_sweep).  a_5(7n+6) at upto 300 then takes 0.0095 s, against
-    0.024 s by the slice loop and the recurrence and 0.040 s in the
-    exact lane (best of 5, cold memo, Python 3.11.7, 2 cores).
+    a counterexample value is then only known as a residue): 1/f1 by
+    halving from psi and checked, the products by psi as shifted adds
+    of one packed int, and each division by f2 as two packed products
+    through 1/f1 (see _family_sweep).  a_5(7n+6) at upto 300 then takes
+    0.0068 s, against 0.0090 s by one packed product per pass and a
+    recurrence for 1/f1 and 0.036 s in the exact lane (best of 7, cold
+    memo, Python 3.11.7, 2 cores).
     """
     upto = _int_value(upto, "upto")
     if upto < 1:
@@ -655,14 +677,15 @@ def scan(k_values: Iterable[int], modulus: int, upto: int,
     a division by f1 and per further color a product by psi and a
     division by f2, and family b max(k), all divisions; expanding each k
     on its own would cost 2k - 1 (or k) passes per k.  Each series is
-    checked in all m classes.  With `modular` set every pass but the
-    division by f1 is one packed big-int product, the divisions by f2
-    through 1/f2 = P(q^2), P = 1/f1, where the chain builds P or finds
-    it kept through ceil(order/2) (see _family_sweep): k = 1..8 mod 7
-    at upto 300 takes 0.015 s, against 0.040 s by the slice loop and the
-    recurrence and 0.068 s in the exact lane, and family b mod 11
-    0.022 s against 0.036-0.042 s (best of 5, cold memo, Python 3.11.7,
-    2 cores).
+    checked in all m classes.  With `modular` set 1/f1 is built by
+    halving from psi and checked, the products by psi are shifted adds
+    of one packed int, and every division by f2 two packed products
+    through 1/f1 (see _family_sweep): k = 1..8 mod 7 at upto 300 takes
+    0.009 s, against 0.013 s by one packed product per pass and a
+    recurrence for 1/f1 and 0.061 s in the exact lane, and family b mod
+    11 0.019 s against 0.021 s; at upto 4000, 0.37 s against 0.73 s
+    and 0.68 s against 1.41 s (best of 7, best of 3 at upto 4000, cold
+    memo, Python 3.11.7, 2 cores).
     """
     upto = _int_value(upto, "upto")
     if upto < 50:

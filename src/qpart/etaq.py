@@ -384,11 +384,11 @@ def _apply_factors(acc: Sequence[int] | None, factors, n: int, m: int | None,
     quotient continues its recurrence after the known prefix.  fk is
     taken from `fks` where it holds k, else built through order n; a
     key k that is not a scale, such as the family sweep's _PSI, stands
-    for the series fks holds under it.  `inverses` may hold 1/fk mod m
-    through order n, or None, under k, which each quotient by fk hands
-    to kernels.div, which decides whether the product packs; the family
-    sweep supplies 1/f2 in its modular lane once 1/f1 reaches
-    ceil(n/2).
+    for the series fks holds under it.  `inverses` may hold, under a
+    scale k, 1/f1 mod m through order ceil(n/k), or None: 1/fk is that
+    series at q -> q^k, and each quotient by fk hands it to kernels.div
+    with scale k, which decides whether the products pack.  The family
+    sweep supplies 1/f1 under 2 in its modular lane.
     """
     factors = sorted(factors, key=lambda f: f[1] < 0)
     start = len(known)
@@ -400,7 +400,7 @@ def _apply_factors(acc: Sequence[int] | None, factors, n: int, m: int | None,
         for _ in range(abs(e)):
             if e < 0:
                 acc = kernels.div((1,) if acc is None else acc, fk, n, m, known,
-                                  inverse=inverse)
+                                  inverse=inverse, scale=k)
             elif acc is not None:
                 acc = kernels.mul(fk, acc, n, m, start)
             else:

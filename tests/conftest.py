@@ -42,10 +42,10 @@ def kernel_passes(monkeypatch):
         passes.work += (n - start) * _nonzeros(a, n)
         return mul(a, b, n, m, start)
 
-    def counted_div(a, b, n, m=None, known=(), inverse=None):
+    def counted_div(a, b, n, m=None, known=(), inverse=None, scale=1):
         passes.append(("div", n - len(known)))
         passes.work += (n - len(known)) * _nonzeros(b, n)
-        return div(a, b, n, m, known, inverse)
+        return div(a, b, n, m, known, inverse, scale)
 
     monkeypatch.setattr(_kernels_py, "mul", counted_mul)
     monkeypatch.setattr(_kernels_py, "div", counted_div)

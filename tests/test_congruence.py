@@ -477,46 +477,49 @@ def test_modular_sweep_is_the_exact_sweep_reduced(family, state):
 @pytest.mark.parametrize("family", list(Family))
 @pytest.mark.parametrize("state", MEMO_STATES)
 def test_a_wrong_inverse_of_f2_shows_in_the_modular_sweep(family, state, monkeypatch):
-    """Cold, the chain builds 1/f1 and divides by f2 through the inverse
-    it gives, so a wrong inverse shows; with 1/f1 kept short or evicted
-    no inverse is built and the sweep divides by the recurrence."""
-    build, built = congruence._f2_inverse, []
+    """In every memo state the chain divides by f2 through P = 1/f1,
+    which it builds by halving, continues from a short kept prefix or
+    builds for the divisions alone, so a wrong P handed to the
+    divisions shows."""
+    div, handed = _kernels_py.div, []
 
-    def wrong(*args):
-        inverse = build(*args)
-        if inverse is not None:
-            built.append(args)
-            inverse[1] += 1  # 1/f2 has no odd exponents
-        return inverse
+    def wrong(a, b, n, m=None, known=(), inverse=None, scale=1):
+        if inverse is not None and not known:
+            handed.append(n)
+            inverse = list(inverse)
+            inverse[1] += 1
+        return div(a, b, n, m, known, inverse, scale)
 
-    monkeypatch.setattr(congruence, "_f2_inverse", wrong)
+    monkeypatch.setattr(_kernels_py, "div", wrong)
     for order in SWEEP_ORDERS[2:]:  # the shorter orders run below _PACK_FROM
         exact = _exact_members(family, order)
         for m in SWEEP_MODULI:
-            built.clear()
+            handed.clear()
             swept, expected = _swept_in_memo_state(state, family, order, m, exact)
-            if state == "cold":
-                assert built and swept != expected, (order, m)
-            else:
-                assert not built and swept == expected, (order, m)
+            assert handed and swept != expected, (order, m)
 
 
 @pytest.mark.parametrize("family", list(Family))
 def test_modular_sweep_runs_the_passes_of_the_exact_one(family, kernel_passes):
-    """The same passes at the same lengths, each f2 division a product
-    by 1/f2 where 1/f1 reaches ceil(order/2) and a recurrence where it
-    does not; no pass builds 1/f1 for the inverse alone."""
+    """The same steps at the same lengths, each f2 division two packed
+    products through P = 1/f1; P itself, cold, by one halving step from
+    the recurrence through 51, the square, the product by psi and the
+    check, f1 * P = 1; with a short P kept, continued through
+    ceil(order/2) = 51; with none kept, built that far, by the
+    recurrence below the halving's base."""
     order, m = 101, 7
     kernel_passes.clear()
     exact = _exact_members(family, order)
     exact_passes = list(kernel_passes)
     steps = {Family.ODD_COLORED: [("mul", order), ("div", order)],
              Family.EVEN_COLORED: [("div", order)]}[family]
-    for state, colors in (("cold", 7), ("short 1/f1", 6), ("1/f1 evicted", 5)):
+    halving = [("div", 51), ("mul", 51), ("mul", order), ("mul", order)]
+    for state, p, colors in (("cold", halving, 7), ("short 1/f1", [("div", 31)], 6),
+                             ("1/f1 evicted", [("div", 51)], 5)):
         congruence._MEMO.clear()
         kernel_passes.clear()
         _swept_in_memo_state(state, family, order, m, exact)
-        assert kernel_passes == (exact_passes if state == "cold" else steps * colors)
+        assert kernel_passes == p + steps * colors
     assert exact_passes == [("div", order)] + steps * 7
 
 

@@ -1,13 +1,16 @@
 """The pure-Python coefficient kernels against the dense oracles."""
 
 import random
+from functools import lru_cache
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qpart
 from qpart import _kernels_py
 
-from oracles import poly_inv, poly_mul
+from oracles import pochhammer_by_product, poly_inv, poly_mul
 
 
 MODULI = (None, 2, 7, 2**70 + 1)
@@ -160,16 +163,22 @@ def _residue_operands(rng, n):
 
 @pytest.fixture
 def packed_sides(monkeypatch):
-    """(m, whether the product packed) for every product tried from here on."""
+    """(m, whether the product packed) for every packed product or
+    division through an inverse tried from here on."""
     sides = set()
-    packed = _kernels_py._mul_packed
 
-    def recorded(a, b, n, m):
-        out = packed(a, b, n, m)
-        sides.add((m, out is not None))
-        return out
+    def record(name):
+        packed = getattr(_kernels_py, name)
 
-    monkeypatch.setattr(_kernels_py, "_mul_packed", recorded)
+        def recorded(a, b, n, m, *rest):
+            out = packed(a, b, n, m, *rest)
+            sides.add((m, out is not None))
+            return out
+
+        monkeypatch.setattr(_kernels_py, name, recorded)
+
+    record("_mul_packed")
+    record("_div_packed")
     return sides
 
 
@@ -236,3 +245,115 @@ def test_div_through_an_inverse_against_oracle(packed_sides, monkeypatch):
                     assert _kernels_py.div(a, b, n, m, expected[:p], wrong) == expected
     assert {(m, True) for m in (2, 7, 13, 2**30 + 3)} <= packed_sides
     assert {(m, False) for m in (2**30 + 3, 2**64 + 13, 2**70 + 1)} <= packed_sides
+
+
+# -- shifted adds, divisions by f2 through 1/f1, 1/f1 by halving ------------------------
+
+checked = settings(derandomize=True, database=None, deadline=None, max_examples=60)
+
+# 2**30 + 3: a sparse operand packs, a dense square does not; 2**64 + 13:
+# nothing packs
+SHIFTED_MODULI = (2, 3, 7, 13, 2**30 + 3, 2**64 + 13)
+HALVING_ORDER = 400  # past _HALVING_BASE = 64 by more than two halvings
+
+# orders on both sides of _PACK_FROM = 32 and of twice it, where both
+# classes of a division by f2 pack
+orders = st.one_of(st.integers(1, 80), st.integers(1, 300))
+entries = st.one_of(st.integers(-99, 99), st.integers(-2**70, 2**70))
+
+
+@st.composite
+def sparse_products(draw):
+    """(a, b, n): a with at most sqrt(_SPARSE * n) entries below n,
+    among them -1, 0 and entries that are not units, and a dense b."""
+    n = draw(orders)
+    size = draw(st.integers(1, n + 5))
+    slots = draw(st.lists(st.integers(0, size - 1), min_size=1,
+                          max_size=max(1, int((_kernels_py._SPARSE * n) ** 0.5)), unique=True))
+    a = [0] * size
+    for i in slots:
+        a[i] = draw(st.one_of(st.sampled_from((1, -1, 0, 2, -5, 13)), entries))
+    b = draw(st.lists(entries, min_size=1, max_size=n + 5))
+    return a, b, n
+
+
+@checked
+@given(product=sparse_products(), m=st.sampled_from(SHIFTED_MODULI), swap=st.booleans())
+def test_shifted_adds_against_oracle(product, m, swap):
+    a, b, n = product
+    if swap:  # the sparse operand second
+        a, b = b, a
+    assert _kernels_py.mul(a, b, n, m) == _reduced(poly_mul(a, b, n), m)
+
+
+def test_which_products_pack_as_shifted_adds():
+    """At order 2107 a product by f1 packs as shifted adds for every
+    modulus up to 2**30 + 3 and a dense square packs up to 13; at
+    2**64 + 13 neither does."""
+    n = 2107
+    f1 = qpart.pochhammer_f(1, n).coeffs
+    rng = random.Random(8)
+    for m in SHIFTED_MODULI:
+        dense = [rng.randrange(m) for _ in range(n)]
+        assert (_kernels_py._mul_packed(f1, dense, n, m) is not None) == (m < 2**64)
+        assert (_kernels_py._mul_packed(dense, dense, n, m) is not None) == (m <= 13)
+        assert _kernels_py.mul(dense, f1, n, m) == _reduced(_kernels_py.mul(f1, dense, n), m)
+
+
+@lru_cache(maxsize=None)
+def _oracle_inverses():
+    """1/f1 and psi = f2^2/f1 through HALVING_ORDER, from the dense
+    oracles alone."""
+    order = HALVING_ORDER
+    inverse = poly_inv(pochhammer_by_product(1, order), order)
+    f2 = pochhammer_by_product(2, order)
+    return inverse, poly_mul(poly_mul(f2, f2, order), inverse, order)
+
+
+def _inverses_mod(m, n):
+    """1/f1 and psi through n, mod m."""
+    return [_reduced(series[:n], m) for series in _oracle_inverses()]
+
+
+@checked
+@given(a=st.lists(entries, min_size=1, max_size=310), n=orders,
+       m=st.sampled_from(SHIFTED_MODULI))
+def test_division_by_f2_through_the_inverse_of_f1(a, n, m):
+    """div(a, f2, n, m, inverse=1/f1, scale=2), two products of the
+    classes of a, is the recurrence, at odd and even n."""
+    f2 = qpart.pochhammer_f(2, n).coeffs
+    inverse, _ = _inverses_mod(m, (n + 1) // 2)
+    assert _kernels_py.div(a, f2, n, m, inverse=inverse, scale=2) == _kernels_py.div(a, f2, n, m)
+
+
+@checked
+@given(n=st.one_of(st.integers(1, 80), st.integers(1, HALVING_ORDER)),
+       m=st.sampled_from(SHIFTED_MODULI))
+def test_inverse_of_f1_by_halving(n, m):
+    f1 = qpart.pochhammer_f(1, n).coeffs
+    inverse, psi = _inverses_mod(m, n)
+    halved = _kernels_py.inverse_by_halving(f1, psi, n, m)
+    assert halved == _kernels_py.div((1,), f1, n, m) == inverse
+
+
+def test_a_wrong_psi_or_inverse_fails_the_check_of_the_halving(monkeypatch):
+    n, m = 300, 7
+    f1 = qpart.pochhammer_f(1, n).coeffs
+    inverse, psi = _inverses_mod(m, n)
+    assert _kernels_py.inverse_by_halving(f1, psi, n, m) == inverse
+    wrong = psi[:]
+    wrong[n - 1] += 1
+    with pytest.raises(RuntimeError):
+        _kernels_py.inverse_by_halving(f1, wrong, n, m)
+    # orders the halving does not reach are the recurrence, which reads no psi
+    assert _kernels_py.inverse_by_halving(f1[:64], wrong[:64], 64, m) == inverse[:64]
+    halve = _kernels_py._halve
+
+    def corrupted(*args):
+        out = halve(*args)
+        out[-1] += 1
+        return out
+
+    monkeypatch.setattr(_kernels_py, "_halve", corrupted)
+    with pytest.raises(RuntimeError):
+        _kernels_py.inverse_by_halving(f1, psi, n, m)

@@ -323,17 +323,53 @@ def test_a_chain_longer_than_the_memo_keeps_its_newest_members(family, m, monkey
     monkeypatch.setattr(congruence._MEMO, "capacity", 5 * order)
     swept = dict(_family_sweep(family, range(1, 13), order, m))
     kept = congruence._MEMO._kept
-    assert sorted(kept) == [(family, k, m) for k in range(8, 13)]
+    # a walk longer than the memo keeps its newest capacity // order - 1
+    # members, so that one member's room stays for other entries
+    assert sorted(kept) == [(family, k, m) for k in range(9, 13)]
     assert congruence._MEMO.size <= congruence._MEMO.capacity
     for k, series in swept.items():
         assert series == eval_eta(family_expression(ColoredFamilySpec(family, k)), order,
                                   modulus=m)
-    # the next chain starts from the kept member 12: one step per color
+    # the next chain starts from the kept member 12: one step per color,
+    # in lane 7 after building 1/f1 through 30 for the divisions by f2
     kernel_passes.clear()
     list(_family_sweep(family, [12, 14], order, m))
     step = [("mul", order), ("div", order)] if family is Family.ODD_COLORED else [("div", order)]
-    assert kernel_passes == step * 2
+    assert kernel_passes == ([] if m is None else [("div", 30)]) + step * 2
     assert sorted(kept) == [(family, k, m) for k in range(10, 15)]
+
+
+def test_a_walk_longer_than_the_memo_leaves_room_for_other_entries():
+    kept = congruence._MEMO._kept
+    list(_family_sweep(Family.EVEN_COLORED, [2], 40, 7))
+    assert set(kept) == {(Family.ODD_COLORED, 1, 7), (Family.EVEN_COLORED, 2, 7)}
+    list(_family_sweep(Family.ODD_COLORED, [3000], 40))
+    # the walk keeps its newest capacity // 40 - 1 = 1637 members, and the
+    # newest entry kept before it stays
+    assert (Family.EVEN_COLORED, 2, 7) in kept
+    assert sorted(k for family, k, m in kept if m is None) == list(range(1364, 3001))
+    assert _memo_within_bound()
+
+
+@checked
+@given(family=st.sampled_from(Family), order=st.one_of(st.integers(1, 80), st.integers(1, 700)),
+       m=st.sampled_from((2, 3, 7, 13, 2**30 + 3, 2**64 + 13)))
+def test_modular_member_1_matches_partition_dp(family, order, m):
+    """Member 1 of a cold modular sweep, 1/f1 by halving where the
+    square packs and past the halving's base, is the partition DP
+    reduced."""
+    congruence._MEMO.clear()
+    _, series = next(_family_sweep(family, [1], order, m))
+    assert series == oracle_series(ColoredFamilySpec(family, 1), order).reduce_mod(m)
+
+
+@pytest.mark.parametrize("family", list(Family))
+def test_a_wrong_psi_row_fails_the_check_of_the_modular_sweep(family, monkeypatch):
+    psi = etaq._CLOSED_FORMS[etaq._PSI]
+    wrong = psi._replace(term=lambda n: (n * (n + 1) // 2, 2 if n == 20 else 1))
+    monkeypatch.setitem(etaq._CLOSED_FORMS, etaq._PSI, wrong)
+    with pytest.raises(RuntimeError):
+        list(_family_sweep(family, [1, 2], 300, 7))
 
 
 def test_memo_shared_by_threads(monkeypatch):
