@@ -124,12 +124,12 @@ def div(a, b, n, m=None, known=(), inverse=None, scale=1):
     the quotient's coefficients in each class r mod scale are then one
     Karatsuba product, c[r::scale] = a[r::scale] * inverse, of the
     inverse packed once (_div_packed), where those products pack (m
-    set, each at least _PACK_FROM long, slot bound below 2^64);
-    anywhere else the inverse is not read and the recurrence below
-    runs.  At n = 2107 mod 7, dividing a residue series by f2 through
-    1/f1 (scale 2) takes 0.56 ms so, two products of length 1054,
-    against 0.75 ms as one product by 1/f2 through 2107 and 1.9 ms by
-    the recurrence.
+    set, the inverse at least ceil(n/scale) long, each product at least
+    _PACK_FROM long, slot bound below 2^64); anywhere else the inverse
+    is not read and the recurrence below runs.  At n = 2107 mod 7,
+    dividing a residue series by f2 through 1/f1 (scale 2) takes
+    0.56 ms so, two products of length 1054, against 0.75 ms as one
+    product by 1/f2 through 2107 and 1.9 ms by the recurrence.
 
     Runs c[t] = (a[t] - sum_{j>=1} b[j] * c[t-j]) / b[0] over the
     nonzero b[j] only, for t from len(known) on, so a is read only from
@@ -257,11 +257,14 @@ def _unpack(x, n, w, m):
 def _div_packed(a, inverse, n, m, scale):
     """div(a, b, n, m, inverse=inverse, scale=scale) as one packed
     product per class r mod scale, c[r::scale] = a[r::scale] * inverse,
-    the inverse packed once; or None where they do not pack (see
+    the inverse packed once; or None where m is unset, the inverse is
+    shorter than ceil(n/scale) or the products do not pack (see
     _slot_bytes; the shortest class is held against _PACK_FROM).  No
     slot overflows: a coefficient of class r adds at most
     min(nnz a[r::scale], nnz inverse) products of residues."""
     lengths = [len(range(r, n, scale)) for r in range(scale)]
+    if m is None or len(inverse) < lengths[0]:
+        return None
     parts = [a[r:n:scale] for r in range(scale)]
     inverse = inverse[:lengths[0]]
     terms = min(len(inverse) - inverse.count(0),
@@ -361,14 +364,15 @@ def inverse_by_halving(b, r, n, m):
     square of 1/b through ceil(n/2), spread to the even exponents: one
     packed square and one product by r, which packs as shifted adds
     where r is sparse.  The halving recurses down to _HALVING_BASE,
-    where div runs.  It runs only where the square through ceil(n/2)
-    packs (see _slot_bytes), and its result is then checked by one
-    product, b * (1/b) = 1, which raises RuntimeError on a mismatch, as
-    a wrong r gives; elsewhere 1/b is div((1,), b, n, m) alone.
+    where div runs, and its result is checked by one product,
+    b * (1/b) = 1, which raises RuntimeError on a mismatch, as a wrong r
+    gives.  None where it would not halve: n <= _HALVING_BASE, or the
+    square through ceil(n/2) does not pack (see _slot_bytes; m unset
+    included); the caller then runs div((1,), b, n, m).
     """
     h = (n + 1) // 2
     if n <= _HALVING_BASE or not _slot_bytes(h, h, m):
-        return div((1,), b, n, m)
+        return None
     inverse = _halve(b, r, n, m)
     if mul(b, inverse, n, m) != [1] + [0] * (n - 1):
         raise RuntimeError(f"1/b mod {m} through {n} by halving fails b * (1/b) = 1")

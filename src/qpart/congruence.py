@@ -23,7 +23,7 @@ import operator
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 from importlib import resources
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator
 
 from . import _kernels_py as kernels
 from .etaq import (
@@ -170,12 +170,11 @@ class _SweepMemo(_Memo):
     longer than that is never stored."""
 
     def chain(self, family: Family, lane: int | None, first: int, last: int,
-              order: int) -> tuple[int, TruncatedSeries | None, dict[int, TruncatedSeries]]:
+              order: int) -> tuple[int, dict[int, TruncatedSeries]]:
         """Where a chain through color counts first..last at the order
         starts: the largest kept k' <= first whose series reaches the
-        order, and that series, which counts as used (0 and None if
-        there is none); and the kept series of every k <= last, by k,
-        whatever their order."""
+        order, which counts as used, or 0 for the series 1; and the kept
+        series of every k <= last, by k, whatever their order."""
         with self._lock:
             kept = {k: series for (f, k, lane_), series in self._kept.items()
                     if k <= last and (f, k, lane_) == _memo_key(family, k, lane)}
@@ -183,7 +182,7 @@ class _SweepMemo(_Memo):
                          if k <= first and series.order >= order), default=0)
             if start:
                 self._kept.move_to_end(_memo_key(family, start, lane))
-        return start, kept.get(start), kept
+        return start, kept
 
     def keep(self, family: Family, k: int, lane: int | None,
              series: TruncatedSeries) -> None:
@@ -195,33 +194,6 @@ class _SweepMemo(_Memo):
 _MEMO = _SweepMemo(2**16)
 
 
-def _family_ratio(family: Family, k: int) -> tuple[tuple[int | str, int], ...]:
-    """The factors of family_expression(k) / family_expression(k - 1) as
-    the sweep applies them: 1/f1 for k = 1, from the series 1, and past
-    it the one-color step, f2/f1 in family a and 1/f2 in family b.  f2/f1
-    is applied as psi/f2, psi = f2^2/f1 (the key _PSI), so no step
-    multiplies by f2 or divides by f1."""
-    if k == 1:
-        return ((1, -1),)
-    if family is Family.ODD_COLORED:
-        return ((_PSI, 1), (2, -1))
-    return ((2, -1),)
-
-
-def _f1_inverse(kept: Sequence[int], n: int, m: int) -> Sequence[int]:
-    """P = 1/f1 mod m through n, member 1 of either family, from `kept`,
-    a prefix of P: its first n coefficients where it reaches n; else
-    kept, if not empty, continued by the recurrence; else built by
-    halving from Gauss's psi (kernels.inverse_by_halving), which checks
-    the result where it halves."""
-    if len(kept) >= n:
-        return kept[:n]
-    f1 = _pochhammer_coeffs(1, n)
-    if kept:
-        return kernels.div((1,), f1, n, m, kept)
-    return kernels.inverse_by_halving(f1, _closed_form(_CLOSED_FORMS[_PSI], n), n, m)
-
-
 def _family_sweep(family: Family, ks: Iterable[int], order: int,
                   modulus: int | None = None) -> Iterator[tuple[int, TruncatedSeries]]:
     """Yield (k, the k-colored family's series through the order) for each
@@ -229,77 +201,42 @@ def _family_sweep(family: Family, ks: Iterable[int], order: int,
     eval_eta(..., modulus=modulus).  This is the package's one source of
     family series for the verifiers.
 
-    The series form one chain, walked one member at a time: member k is
-    member k-1 times the ratio of their eta-quotients (_family_ratio),
-    through eval_eta's own pass loop (etaq._apply_factors), exactly at
-    any truncation: a division by f1 from the series 1 to k = 1, then per
-    color, for family a, a product by Gauss's
-    psi = f2^2/f1 = sum_{n>=0} q^(n(n+1)/2) and a division by f2, since
-    f2/f1 = psi/f2, and for family b a division by f2; so k costs the
-    2k-1 (or k) passes of expanding it directly.  Below order N, psi has
-    about sqrt(2N) nonzeros and f2 about 2*sqrt(N/3), against f1's
-    2*sqrt(2N/3): a step of family a costs about 2.56*N*sqrt(N)
-    additions where a product by f2 and a division by f1 cost about
-    2.78*N*sqrt(N) (at N = 2107, 65 + 53 nonzeros against 53 + 75).
-    f1, f2 and psi are built once per sweep.
+    The series form one chain, walked one member at a time from the
+    kept member with the largest k' <= min(ks) in the same lane that
+    reaches the order (_MEMO.chain), or from the series 1.  Member 1 is
+    1/f1 in both families; past it family a steps by f2/f1 = psi/f2,
+    Gauss's psi = f2^2/f1 = sum_{n>=0} q^(n(n+1)/2), one product by psi
+    and one division by f2, and family b by a division by f2.  For each
+    k of the walk:
 
-    psi is offered to the sweep only, never to eval_eta, which expands
-    every factor from Euler's pentagonal sum alone (etaq._EULER).  So
-    the sweep's series stay checked against paths that share no closed
-    form with it, eval_eta and the oracle_series DP, and a wrong psi row
-    (etaq._CLOSED_FORMS[_PSI]) shows as a mismatch with either, or,
-    where the modular lane builds 1/f1 from psi, fails that build's
-    check.
+    * a member kept through the order is sliced;
+    * a member kept to a shorter order is continued: its step computes
+      only the coefficients past the kept prefix (member 1:
+      kernels.div((1,), f1, ..., known));
+    * member 1 with nothing kept is kernels.inverse_by_halving from psi,
+      which checks its result, or kernels.div where that does not halve;
+    * any other member is its step from the member before, the product
+      kernels.mul(psi, ...) and the quotient kernels.div(..., f2, ...,
+      inverse=P, scale=2).
 
-    With `modulus` set, every pass but the continuation of a kept
-    prefix packs residues into big ints (see qpart._kernels_py), where
-    the slot bound allows, which for m <= 13 it does; the products by
-    psi are shifted adds of the packed member, one per nonzero of psi.
-    Member 1, P = 1/f1, is built by halving from psi where nothing is
-    kept (kernels.inverse_by_halving): P through N is psi times the
-    square of P through ceil(N/2) at q -> q^2, one packed square and
-    one product by psi per halving, down to a recurrence through at
-    most 64 coefficients, and the result is checked by one product,
-    f1 * P = 1, which raises RuntimeError on a mismatch.  A division
-    by f2 takes P through ceil(N/2) itself: f2 is f1 at q -> q^2, so
-    1/f2 = P(q^2), and the quotient's even and odd coefficients are
-    two packed products of length about N/2, c[r::2] = a[r::2] * P.
-    P is the chain's member 1 or the kept one; a chain that starts
-    past member 1 continues a shorter kept P through ceil(N/2) by the
-    recurrence, or builds it by halving where none is kept, and keeps
-    neither, as it walks no member 1.  At N = 2107 mod 7 a step of
-    family a takes about 0.36 + 0.56 ms and one of family b 0.56 ms,
-    against 0.67 + 0.75 and 0.75 ms by Karatsuba products and 2.6 + 1.9
-    and 1.9 ms by the slice loop and the recurrence; P takes 1.6 ms,
-    check included, against 2.7 ms by the recurrence (Python 3.11.7,
-    2-core x86-64 host, best of 15).  A step that continues a kept
-    prefix stays online on the recurrence.  eval_eta's divisions all
-    stay the recurrence and it reads no psi, so it stays an independent
-    check of this lane too.
+    P = 1/f1 through ceil(N/2), N the order, lets kernels.div run a
+    division by f2 = f1(q^2) with no kept prefix as two packed products,
+    c[r::2] = a[r::2] * P, where they pack.  P is member 1 whenever the
+    sweep has it, walked or kept through ceil(N/2).  A chain that starts
+    past member 1 without it (a shorter kept P is not continued) builds
+    P once, by inverse_by_halving, before its first step with no kept
+    prefix, and runs the recurrence where that does not halve.  psi is read by this sweep only, never
+    by eval_eta, whose divisions all stay the recurrence, so eval_eta
+    and the oracle_series DP stay independent checks of it.
 
-    The members walked are kept in a memo of the process (_MEMO), by
-    family, k and lane, at its longest order; member 1 is 1/f1 in both
-    families and is kept once for both.  A walk of more members than
-    the memo holds, capacity // order, keeps only its newest
-    capacity // order - 1, so that one member's room stays for the
-    other entries; the memo drops the least recently used first.  The
-    chain starts from the kept member with the largest k' <= min(ks)
-    in the same lane that reaches the order, truncated, which is exact,
-    or else from the series 1; so a chain of either family starts from
-    a kept 1/f1.  A later member kept at the order is truncated too; one
-    kept at a shorter order is continued.  Every pass is online,
-    coefficient t depending only on those below t, so the step's
-    product computes only the coefficients past the kept prefix and its
-    division continues the recurrence after it: a request a few
-    coefficients past a kept chain pays for those coefficients only.
-
+    The members walked are kept in _MEMO at their longest order, member
+    1 once for both families; a walk of more members than
+    capacity // order keeps only its newest capacity // order - 1.
     Before the memo is read, the work of a direct expansion of the
     largest k, plus one output series per further k, is refused above
     the expansion limit, so whether an input is refused does not depend
-    on what the memo holds.  That charge counts a pass over f2 and one
-    over f1 per color of family a; the psi and f2 passes that run
-    instead have no more nonzeros in all, so the charge still bounds
-    the work.
+    on what the memo holds; the psi and f2 passes of family a have no
+    more nonzeros than the f2 and f1 passes charged.
     """
     if order < 1:
         raise ValueError("order must be >= 1")
@@ -310,33 +247,38 @@ def _family_sweep(family: Family, ks: Iterable[int], order: int,
     m = None if modulus is None else _modulus_value(modulus)
     _refuse_above_limit(_expansion_work(family_expression(last), order)
                         + order * (len(ks) - 1))
-    k, series, kept = _MEMO.chain(family, m, first.colors, last.colors, order)
-    coeffs = None if series is None else series.coeffs[:order]
-    if k == first.colors:
-        yield k, series.truncate(order)
+    start, kept = _MEMO.chain(family, m, first.colors, last.colors, order)
     # a walk longer than the memo holds keeps only its newest members,
     # all but one member's room
     room = _MEMO.capacity // order
-    oldest = k + 1 if last.colors - k <= room else last.colors - room + 2
-    fks = {s: _pochhammer_coeffs(s, order) for s in (1, 2)}
-    if family is Family.ODD_COLORED:
-        fks[_PSI] = _closed_form(_CLOSED_FORMS[_PSI], order)
-    member1 = kept[1].coeffs if 1 in kept else ()
-    inverse = None  # lane m: P = 1/f1 through ceil(order/2), for the divisions by f2
-    for k in range(k + 1, last.colors + 1):
-        held = kept.get(k)
-        if held is not None and held.order >= order:
-            coeffs = held.coeffs[:order]
-        elif k == 1 and m is not None:
-            coeffs = _f1_inverse(member1, order, m)
+    oldest = start + 1 if last.colors - start <= room else last.colors - room + 2
+    h = (order + 1) // 2
+    # P: member 1, set when the walk passes member 1; past it, a kept
+    # prefix shorter than h is replaced once, by halving or by None
+    inverse = kept[1].coeffs if 1 in kept else ()
+    f1 = None  # f1, f2 and psi, built for the first member that is not sliced
+    for k in range(max(start, 1), last.colors + 1):
+        known = kept[k].coeffs if k in kept else ()
+        if len(known) >= order:
+            series = kept[k].truncate(order)
+            coeffs = series.coeffs
         else:
-            if m is not None and held is None and inverse is None:
-                inverse = _f1_inverse(member1, (order + 1) // 2, m)
-            coeffs = _apply_factors(coeffs, _family_ratio(family, k), order, m,
-                                    () if held is None else held.coeffs, fks, {2: inverse})
+            if f1 is None:
+                f1, f2 = _pochhammer_coeffs(1, order), _pochhammer_coeffs(2, order)
+                psi = _closed_form(_CLOSED_FORMS[_PSI], order)
+            if k == 1:
+                coeffs = None if known else kernels.inverse_by_halving(f1, psi, order, m)
+                if coeffs is None:
+                    coeffs = kernels.div((1,), f1, order, m, known)
+            else:
+                if not known and inverse is not None and len(inverse) < h:
+                    inverse = kernels.inverse_by_halving(f1, psi, h, m)
+                if family is Family.ODD_COLORED:
+                    coeffs = kernels.mul(psi, coeffs, order, m, len(known))
+                coeffs = kernels.div(coeffs, f2, order, m, known, inverse=inverse, scale=2)
+            series = TruncatedSeries(coeffs)
         if k == 1:
-            member1 = coeffs
-        series = TruncatedSeries(coeffs)
+            inverse = coeffs
         if k >= oldest:
             _MEMO.keep(family, k, m, series)
         if k in ks:
@@ -687,7 +629,7 @@ def scan(k_values: Iterable[int], modulus: int, upto: int,
     and 0.68 s against 1.41 s (best of 7, best of 3 at upto 4000, cold
     memo, Python 3.11.7, 2 cores).
     """
-    upto = _int_value(upto, "upto")
+    modulus, upto = _int_value(modulus, "modulus"), _int_value(upto, "upto")
     if upto < 50:
         raise ValueError("scan needs upto >= 50 to be worth reporting")
     if modulus < 2:

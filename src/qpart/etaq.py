@@ -367,42 +367,22 @@ _MAX_EXPANSION_WORK = 10**8
 _PASS_OVERHEAD = 40  # a pass at order 1 takes 1-1.5 us; an addition at order 2107, 35-45 ns
 
 
-def _apply_factors(acc: Sequence[int] | None, factors, n: int, m: int | None,
-                   known: Sequence[int] = (),
-                   fks: Mapping[int, Sequence[int]] | None = None,
-                   inverses: Mapping[int, Sequence[int]] | None = None) -> list[int]:
+def _apply_factors(acc: Sequence[int] | None, factors, n: int, m: int | None) -> list[int]:
     """acc * prod fk^e through order n, mod m if set, for (k, e) pairs as
-    in EtaTerm.factors, acc None standing for the series 1.  eval_eta
-    and the family sweep pass here.
+    in EtaTerm.factors, acc None standing for the series 1: the pass
+    loop of eval_eta and of replay_proof's division by f_7s.
 
-    Each factor costs |e| passes over fk, the products first: each is
-    kernels.mul(fk, acc), or a copy of fk when acc is the series 1; then
-    each quotient kernels.div(acc, fk).  `known`, if given, is a prefix
-    of the result, and the factors are then at most one product and one
-    quotient, the quotient running last: the product computes only the
-    coefficients from len(known) on, all the quotient reads, and the
-    quotient continues its recurrence after the known prefix.  fk is
-    taken from `fks` where it holds k, else built through order n; a
-    key k that is not a scale, such as the family sweep's _PSI, stands
-    for the series fks holds under it.  `inverses` may hold, under a
-    scale k, 1/f1 mod m through order ceil(n/k), or None: 1/fk is that
-    series at q -> q^k, and each quotient by fk hands it to kernels.div
-    with scale k, which decides whether the products pack.  The family
-    sweep supplies 1/f1 under 2 in its modular lane.
+    Each factor costs |e| passes over fk through order n, the products
+    first: each is kernels.mul(fk, acc), or a copy of fk when acc is the
+    series 1; then each quotient kernels.div(acc, fk), the recurrence.
     """
-    factors = sorted(factors, key=lambda f: f[1] < 0)
-    start = len(known)
-    if start:
-        assert [e for _, e in factors] in ([-1], [1, -1]), factors
-    for k, e in factors:
-        fk = fks[k] if fks and k in fks else _pochhammer_coeffs(k, n)
-        inverse = inverses.get(k) if inverses else None
+    for k, e in sorted(factors, key=lambda f: f[1] < 0):
+        fk = _pochhammer_coeffs(k, n)
         for _ in range(abs(e)):
             if e < 0:
-                acc = kernels.div((1,) if acc is None else acc, fk, n, m, known,
-                                  inverse=inverse, scale=k)
+                acc = kernels.div((1,) if acc is None else acc, fk, n, m)
             elif acc is not None:
-                acc = kernels.mul(fk, acc, n, m, start)
+                acc = kernels.mul(fk, acc, n, m)
             else:
                 acc = list(fk) if m is None else [x % m for x in fk]
     return [1] + [0] * (n - 1) if acc is None else acc
@@ -642,6 +622,7 @@ def theta_support_mod(family: ThetaFamily, modulus: int = 7) -> frozenset[int]:
     replays the exclusion argument exactly: a class is unreachable iff
     every index landing on it has weight divisible by the modulus.
     """
+    modulus = _int_value(modulus, "modulus")
     if modulus < 3 or modulus % 2 == 0:
         raise ValueError("support analysis needs an odd modulus >= 3")
     term = _theta_form(family).term

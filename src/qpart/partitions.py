@@ -205,6 +205,7 @@ def enumerate_partitions(spec: ColoredFamilySpec, n: int,
     than _MAX_LISTING partitions of n: past either point the caller
     almost certainly wanted count(), not a listing.
     """
+    cap = _int_value(cap, "cap")
     if n < 0:
         raise ValueError("n must be >= 0")
     if n > cap:

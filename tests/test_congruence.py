@@ -29,8 +29,15 @@ from qpart.etaq import (
     format_eta,
     pochhammer_f,
     theta_series,
+    theta_support_mod,
 )
-from qpart.partitions import ColoredFamilySpec, Family, count, oracle_series
+from qpart.partitions import (
+    ColoredFamilySpec,
+    Family,
+    count,
+    enumerate_partitions,
+    oracle_series,
+)
 from qpart.series import TruncatedSeries
 
 
@@ -231,6 +238,9 @@ def test_frobenius_and_lift_refuse_non_integers():
     lambda x: verify_dissection_identity(x),
     lambda x: dissected_component(x),
     lambda x: scan([1], 7, x),
+    lambda x: scan([1], x, 60),
+    lambda x: theta_support_mod(ThetaFamily.JACOBI_CUBE, x),
+    lambda x: enumerate_partitions(a(1), 3, cap=x),
     lambda x: count(a(1), x),
     lambda x: oracle_series(a(1), x),
     lambda x: verify_frobenius(1, 1, 7, x),
@@ -239,7 +249,8 @@ def test_frobenius_and_lift_refuse_non_integers():
     lambda x: replay_proof(1, x),
 ], ids=["eval_eta", "pochhammer_f-order", "pochhammer_f-k", "theta_series", "verify_claim",
         "verify_mod7_family", "verify_mod7_lifts-j_max", "verify_mod7_lifts-upto",
-        "verify_dissection_identity", "dissected_component", "scan", "count",
+        "verify_dissection_identity", "dissected_component", "scan", "scan-modulus",
+        "theta_support_mod", "enumerate_partitions-cap", "count",
         "oracle_series", "verify_frobenius", "lift_factorization_holds", "replay_proof-k",
         "replay_proof-order"])
 def test_orders_ranges_and_counts_refuse_non_integers(call):
@@ -504,9 +515,9 @@ def test_modular_sweep_runs_the_passes_of_the_exact_one(family, kernel_passes):
     """The same steps at the same lengths, each f2 division two packed
     products through P = 1/f1; P itself, cold, by one halving step from
     the recurrence through 51, the square, the product by psi and the
-    check, f1 * P = 1; with a short P kept, continued through
-    ceil(order/2) = 51; with none kept, built that far, by the
-    recurrence below the halving's base."""
+    check, f1 * P = 1.  A chain that starts past member 1 with P kept
+    short or not at all builds no P through ceil(order/2) = 51, below
+    the halving's base, and its divisions run the recurrence."""
     order, m = 101, 7
     kernel_passes.clear()
     exact = _exact_members(family, order)
@@ -514,13 +525,45 @@ def test_modular_sweep_runs_the_passes_of_the_exact_one(family, kernel_passes):
     steps = {Family.ODD_COLORED: [("mul", order), ("div", order)],
              Family.EVEN_COLORED: [("div", order)]}[family]
     halving = [("div", 51), ("mul", 51), ("mul", order), ("mul", order)]
-    for state, p, colors in (("cold", halving, 7), ("short 1/f1", [("div", 31)], 6),
-                             ("1/f1 evicted", [("div", 51)], 5)):
+    for state, p, colors in (("cold", halving, 7), ("short 1/f1", [], 6),
+                             ("1/f1 evicted", [], 5)):
         congruence._MEMO.clear()
         kernel_passes.clear()
         _swept_in_memo_state(state, family, order, m, exact)
         assert kernel_passes == p + steps * colors
     assert exact_passes == [("div", order)] + steps * 7
+
+
+@pytest.mark.parametrize("family", list(Family))
+@pytest.mark.parametrize("state", MEMO_STATES[1:])
+def test_a_chain_past_member_1_halves_p_once(family, state, kernel_passes):
+    """A chain that starts past member 1 with P = 1/f1 kept short or not
+    at all builds P through ceil(order/2) = 101 once, before its first
+    step: one halving step from the recurrence through 51, the square,
+    the product by psi and the check."""
+    order, m = 201, 7
+    exact = _exact_members(family, order)
+    kernel_passes.clear()
+    swept, expected = _swept_in_memo_state(state, family, order, m, exact)
+    assert swept == expected
+    steps = {Family.ODD_COLORED: [("mul", order), ("div", order)],
+             Family.EVEN_COLORED: [("div", order)]}[family]
+    halving = [("div", 51), ("mul", 51), ("mul", 101), ("mul", 101)]
+    assert kernel_passes == halving + steps * (8 - min(expected))  # the chain starts at min(ks)
+
+
+def test_a_chain_past_member_1_builds_no_p_that_would_not_pack(kernel_passes):
+    """Where the square of the halving does not pack (m = 2^64 + 13), a
+    chain that starts past member 1 builds no P: its divisions by f2
+    run the recurrence, and nothing else runs."""
+    order, m = 400, 2**64 + 13
+    exact = _exact_members(Family.EVEN_COLORED, order)
+    congruence._MEMO.clear()
+    congruence._MEMO.keep(Family.EVEN_COLORED, 3, m, exact[3].reduce_mod(m))
+    kernel_passes.clear()
+    swept = dict(congruence._family_sweep(Family.EVEN_COLORED, [3, 5], order, m))
+    assert kernel_passes == [("div", order)] * 2
+    assert swept == {k: exact[k].reduce_mod(m) for k in (3, 5)}
 
 
 def test_scan_range_floor():

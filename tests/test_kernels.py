@@ -326,6 +326,21 @@ def test_division_by_f2_through_the_inverse_of_f1(a, n, m):
     assert _kernels_py.div(a, f2, n, m, inverse=inverse, scale=2) == _kernels_py.div(a, f2, n, m)
 
 
+@pytest.mark.parametrize("n", [_kernels_py._PACK_FROM - 1, _kernels_py._PACK_FROM + 1,
+                               2 * _kernels_py._PACK_FROM + 1, 151, 300])
+@pytest.mark.parametrize("m", [7, 13])
+def test_division_by_f2_does_not_read_an_inverse_too_short(n, m):
+    """An inverse of 1/f1 shorter than ceil(n/2) is not used: the
+    quotient is the recurrence's, also where a full one would pack."""
+    f2 = qpart.pochhammer_f(2, n).coeffs
+    p, _ = _inverses_mod(m, n)  # 1/f1, divided by f2 as a
+    h = (n + 1) // 2
+    expected = _kernels_py.div(p, f2, n, m)
+    assert _kernels_py.div(p, f2, n, m, inverse=p[:h], scale=2) == expected
+    for length in {0, 1, min(30, h - 1), h // 2, h - 1}:
+        assert _kernels_py.div(p, f2, n, m, inverse=p[:length], scale=2) == expected, length
+
+
 @checked
 @given(n=st.one_of(st.integers(1, 80), st.integers(1, HALVING_ORDER)),
        m=st.sampled_from(SHIFTED_MODULI))
@@ -333,7 +348,10 @@ def test_inverse_of_f1_by_halving(n, m):
     f1 = qpart.pochhammer_f(1, n).coeffs
     inverse, psi = _inverses_mod(m, n)
     halved = _kernels_py.inverse_by_halving(f1, psi, n, m)
-    assert halved == _kernels_py.div((1,), f1, n, m) == inverse
+    # None where it would not halve: below its base, or where the dense
+    # square does not pack, past m = 13
+    assert halved == (None if n <= _kernels_py._HALVING_BASE or m > 13 else inverse)
+    assert _kernels_py.div((1,), f1, n, m) == inverse
 
 
 def test_a_wrong_psi_or_inverse_fails_the_check_of_the_halving(monkeypatch):
@@ -345,8 +363,8 @@ def test_a_wrong_psi_or_inverse_fails_the_check_of_the_halving(monkeypatch):
     wrong[n - 1] += 1
     with pytest.raises(RuntimeError):
         _kernels_py.inverse_by_halving(f1, wrong, n, m)
-    # orders the halving does not reach are the recurrence, which reads no psi
-    assert _kernels_py.inverse_by_halving(f1[:64], wrong[:64], 64, m) == inverse[:64]
+    # orders the halving does not reach give None, reading no psi
+    assert _kernels_py.inverse_by_halving(f1[:64], wrong[:64], 64, m) is None
     halve = _kernels_py._halve
 
     def corrupted(*args):
