@@ -20,9 +20,8 @@ from __future__ import annotations
 
 import enum
 import operator
-from dataclasses import dataclass
+import os
 from functools import lru_cache, reduce
-from importlib import resources
 from typing import Callable, Iterable, Iterator
 
 from . import _kernels_py as kernels
@@ -45,7 +44,7 @@ from .etaq import (
     theta_support_mod,
 )
 from .partitions import ColoredFamilySpec, Family
-from .series import TruncatedSeries, _int_value, _Memo, _modulus_value
+from .series import TruncatedSeries, _int_value, _Memo, _modulus_value, _Record
 
 
 class UnsupportedFamilyError(ValueError):
@@ -58,44 +57,51 @@ class ClaimSource(enum.Enum):
     CANDIDATE = "candidate"  # anything else; finite checking proves nothing
 
 
-@dataclass(frozen=True)
-class CongruenceClaim:
+class CongruenceClaim(_Record):
     """family(modulus*n + residue) == 0 (mod modulus) for all n >= 0."""
 
-    spec: ColoredFamilySpec
-    modulus: int
-    residue: int
-    source: ClaimSource = ClaimSource.CANDIDATE
+    __slots__ = ("spec", "modulus", "residue", "source")
 
-    def __post_init__(self) -> None:
-        modulus = _int_value(self.modulus, "modulus")
-        residue = _int_value(self.residue, "residue")
+    def __init__(self, spec: ColoredFamilySpec, modulus: int, residue: int,
+                 source: ClaimSource = ClaimSource.CANDIDATE) -> None:
+        modulus = _int_value(modulus, "modulus")
+        residue = _int_value(residue, "residue")
         if modulus < 2:
             raise ValueError("modulus must be >= 2")
         if not 0 <= residue < modulus:
             raise ValueError(
                 f"residue must satisfy 0 <= r < {modulus}, got {residue}")
+        object.__setattr__(self, "spec", spec)
         object.__setattr__(self, "modulus", modulus)
         object.__setattr__(self, "residue", residue)
+        object.__setattr__(self, "source", source)
 
     def describe(self) -> str:
         return (f"{self.spec.label}({self.modulus}n+{self.residue})"
                 f" == 0 (mod {self.modulus})")
 
 
-@dataclass(frozen=True)
-class Counterexample:
-    n: int
-    value: int
+class Counterexample(_Record):
+    """The first n at which a claim fails, with the coefficient there (in
+    the modular lane, its residue)."""
+
+    __slots__ = ("n", "value")
+
+    def __init__(self, n: int, value: int) -> None:
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "value", value)
 
 
-@dataclass(frozen=True)
-class ClaimReport:
+class ClaimReport(_Record):
     """Outcome of checking a claim for n = 0 .. checked_up_to - 1."""
 
-    claim: CongruenceClaim
-    checked_up_to: int
-    counterexample: Counterexample | None = None
+    __slots__ = ("claim", "checked_up_to", "counterexample")
+
+    def __init__(self, claim: CongruenceClaim, checked_up_to: int,
+                 counterexample: Counterexample | None = None) -> None:
+        object.__setattr__(self, "claim", claim)
+        object.__setattr__(self, "checked_up_to", checked_up_to)
+        object.__setattr__(self, "counterexample", counterexample)
 
     @property
     def holds(self) -> bool:
@@ -240,7 +246,7 @@ def _family_sweep(family: Family, ks: Iterable[int], order: int,
     """
     if order < 1:
         raise ValueError("order must be >= 1")
-    ks = set(ks)
+    ks = {_int_value(k, "color count") for k in ks}
     if not ks:
         return
     first, last = ColoredFamilySpec(family, min(ks)), ColoredFamilySpec(family, max(ks))
@@ -387,7 +393,10 @@ def lift_factorization_holds(j: int, k: int, order: int = 200) -> bool:
 
 @lru_cache(maxsize=1)
 def dissection_rhs_text() -> str:
-    return (resources.files("qpart") / "data" / "mod7_dissection_rhs.txt").read_text()
+    """The checked-in fixture text, read through this module's loader,
+    so from a directory or a zip alike."""
+    path = os.path.join(os.path.dirname(__file__), "data", "mod7_dissection_rhs.txt")
+    return __loader__.get_data(path).decode("utf-8")
 
 
 @lru_cache(maxsize=1)
@@ -398,10 +407,16 @@ def dissection_rhs() -> EtaExpression:
     return parse_eta(dissection_rhs_text())
 
 
-@dataclass(frozen=True)
-class DissectionReport:
-    checked_up_to: int
-    first_mismatch: int | None
+class DissectionReport(_Record):
+    """Outcome of comparing both sides of the 7-dissection identity
+    through order checked_up_to: the first exponent where they differ,
+    or None."""
+
+    __slots__ = ("checked_up_to", "first_mismatch")
+
+    def __init__(self, checked_up_to: int, first_mismatch: int | None) -> None:
+        object.__setattr__(self, "checked_up_to", checked_up_to)
+        object.__setattr__(self, "first_mismatch", first_mismatch)
 
     @property
     def equal(self) -> bool:
@@ -474,15 +489,19 @@ def _frobenius_verdict(a: int, b: int, p: int, order: int) -> bool:
 # proof replay
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ProofStep:
-    name: str
-    detail: str
-    verified: bool
+class ProofStep(_Record):
+    """One machine-checked step of a proof replay: its name, what it
+    checked, and whether that held."""
+
+    __slots__ = ("name", "detail", "verified")
+
+    def __init__(self, name: str, detail: str, verified: bool) -> None:
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "detail", detail)
+        object.__setattr__(self, "verified", verified)
 
 
-@dataclass(frozen=True)
-class ProofTrace:
+class ProofTrace(_Record):
     """Machine-checked replay of a support-residue proof.
 
     The generating series (after the substitution q -> q^scale, if any)
@@ -491,13 +510,18 @@ class ProofTrace:
     target class, which forces the congruence.
     """
 
-    k: int
-    residue: int
-    scale: int
-    target: int
-    component_supports: tuple[frozenset[int], ...]
-    sumset: frozenset[int]
-    steps: tuple[ProofStep, ...]
+    __slots__ = ("k", "residue", "scale", "target", "component_supports", "sumset", "steps")
+
+    def __init__(self, k: int, residue: int, scale: int, target: int,
+                 component_supports: tuple[frozenset[int], ...], sumset: frozenset[int],
+                 steps: tuple[ProofStep, ...]) -> None:
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "residue", residue)
+        object.__setattr__(self, "scale", scale)
+        object.__setattr__(self, "target", target)
+        object.__setattr__(self, "component_supports", component_supports)
+        object.__setattr__(self, "sumset", sumset)
+        object.__setattr__(self, "steps", steps)
 
     @property
     def verified(self) -> bool:

@@ -17,13 +17,12 @@ into a sum of monomial terms c * q^s * prod fk^e.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
 from math import isqrt
 from operator import add
 from typing import Callable, Mapping, NamedTuple, Sequence, Union
 
 from . import _kernels_py as kernels
-from .series import TruncatedSeries, _int_value, _modulus_value
+from .series import TruncatedSeries, _int_value, _modulus_value, _Record
 
 
 class EtaSyntaxError(ValueError):
@@ -50,8 +49,7 @@ class ZeroScaleError(ValueError):
 # expression data model
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class EtaTerm:
+class EtaTerm(_Record):
     """One monomial term: coefficient * q^q_shift * prod fk^e.
 
     `factors` holds (scale, exponent) pairs with distinct scales in
@@ -59,17 +57,16 @@ class EtaTerm:
     divisor factors.
     """
 
-    coefficient: int
-    q_shift: int = 0
-    factors: tuple[tuple[int, int], ...] = ()
+    __slots__ = ("coefficient", "q_shift", "factors")
 
-    def __post_init__(self) -> None:
-        coefficient = _int_value(self.coefficient, "coefficient")
-        q_shift = _int_value(self.q_shift, "q_shift")
+    def __init__(self, coefficient: int, q_shift: int = 0,
+                 factors: tuple[tuple[int, int], ...] = ()) -> None:
+        coefficient = _int_value(coefficient, "coefficient")
+        q_shift = _int_value(q_shift, "q_shift")
         if q_shift < 0:
             raise ValueError("q_shift must be >= 0")
         factors = tuple((_int_value(k, "factor scale"), _int_value(e, "factor exponent"))
-                        for k, e in self.factors)
+                        for k, e in factors)
         prev = 0
         for k, e in factors:
             if k < 1:
@@ -90,15 +87,15 @@ class EtaTerm:
         return cls(coefficient, q_shift, items)
 
 
-@dataclass(frozen=True)
-class EtaExpression:
+class EtaExpression(_Record):
     """A sum of :class:`EtaTerm`; term order is preserved."""
 
-    terms: tuple[EtaTerm, ...]
+    __slots__ = ("terms",)
 
-    def __post_init__(self) -> None:
-        if not self.terms:
+    def __init__(self, terms: tuple[EtaTerm, ...]) -> None:
+        if not terms:
             raise ValueError("an expression needs at least one term")
+        object.__setattr__(self, "terms", terms)
 
     @classmethod
     def single(cls, coefficient: int, q_shift: int = 0,
@@ -119,12 +116,14 @@ _FACTOR_EXPECTED = frozenset({"integer", "'q'", "'f'", "'('"})
 _MAX_NESTING = 100
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # "int" | "sym" | "end"
-    text: str
-    pos: int
-    value: int = 0
+class _Token(_Record):
+    __slots__ = ("kind", "text", "pos", "value")
+
+    def __init__(self, kind: str, text: str, pos: int, value: int = 0) -> None:
+        object.__setattr__(self, "kind", kind)  # "int" | "sym" | "end"
+        object.__setattr__(self, "text", text)
+        object.__setattr__(self, "pos", pos)
+        object.__setattr__(self, "value", value)
 
 
 def _tokenize(text: str) -> list[_Token]:
@@ -155,14 +154,17 @@ def _tokenize(text: str) -> list[_Token]:
     return tokens
 
 
-@dataclass
 class _Mono:
     """Mutable monomial accumulator used while parsing one term."""
 
-    coeff: int
-    shift: int  # may dip below zero mid-term; validated on finalize
-    factors: dict[int, int] = field(default_factory=dict)
-    start: int = 0
+    __slots__ = ("coeff", "shift", "factors", "start")
+
+    def __init__(self, coeff: int, shift: int, factors: dict[int, int] | None = None,
+                 start: int = 0) -> None:
+        self.coeff = coeff
+        self.shift = shift  # may dip below zero mid-term; validated on finalize
+        self.factors = {} if factors is None else factors
+        self.start = start
 
 
 def _combine(x: _Mono, y: _Mono) -> _Mono:

@@ -22,9 +22,7 @@ from __future__ import annotations
 import enum
 import math
 import operator
-from dataclasses import dataclass
-
-from .series import TruncatedSeries, _int_value, _Memo
+from .series import TruncatedSeries, _int_value, _Memo, _Record
 
 
 class CapExceededError(ValueError):
@@ -36,17 +34,16 @@ class Family(enum.Enum):
     EVEN_COLORED = "b"
 
 
-@dataclass(frozen=True)
-class ColoredFamilySpec:
+class ColoredFamilySpec(_Record):
     """Which family and how many colors on the colored parity."""
 
-    family: Family
-    colors: int
+    __slots__ = ("family", "colors")
 
-    def __post_init__(self) -> None:
-        colors = _int_value(self.colors, "color count")
+    def __init__(self, family: Family, colors: int) -> None:
+        colors = _int_value(colors, "color count")
         if colors < 1:
             raise ValueError(f"color count must be an integer >= 1, got {colors}")
+        object.__setattr__(self, "family", family)
         object.__setattr__(self, "colors", colors)
 
     def color_count(self, weight: int) -> int:
@@ -59,33 +56,34 @@ class ColoredFamilySpec:
         return f"{self.family.value}_{self.colors}"
 
 
-@dataclass(frozen=True)
-class ColoredPartition:
+class ColoredPartition(_Record):
     """A multiset of (weight, color) parts in canonical descending order.
 
     Parts compare by weight first, then color, so e.g. 3_1 > 2 > 1_3.
     Monochromatic-parity parts always carry color 1.
     """
 
-    spec: ColoredFamilySpec
-    parts: tuple[tuple[int, int], ...]
+    __slots__ = ("spec", "parts")
 
-    def __post_init__(self) -> None:
+    def __init__(self, spec: ColoredFamilySpec, parts: tuple[tuple[int, int], ...]) -> None:
         prev = None
-        for w, c in self.parts:
-            if w < 1 or not 1 <= c <= self.spec.color_count(w):
-                raise ValueError(f"part {w}_{c} is not valid for {self.spec.label}")
+        for w, c in parts:
+            if w < 1 or not 1 <= c <= spec.color_count(w):
+                raise ValueError(f"part {w}_{c} is not valid for {spec.label}")
             if prev is not None and (w, c) > prev:
                 raise ValueError("parts must be in descending order")
             prev = (w, c)
+        object.__setattr__(self, "spec", spec)
+        object.__setattr__(self, "parts", parts)
 
     @classmethod
     def _trusted(cls, spec: ColoredFamilySpec,
                  parts: tuple[tuple[int, int], ...]) -> "ColoredPartition":
         """A partition whose parts the caller built valid and in order,
-        constructed without the validation of __post_init__."""
+        constructed without the validation of __init__."""
         self = object.__new__(cls)
-        self.__dict__.update(spec=spec, parts=parts)
+        object.__setattr__(self, "spec", spec)
+        object.__setattr__(self, "parts", parts)
         return self
 
     @property

@@ -12,7 +12,7 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from collections.abc import Hashable
-from operator import index
+from operator import attrgetter, index
 from typing import Any, Iterable, Iterator, Union
 
 from . import _kernels_py as kernels
@@ -38,6 +38,42 @@ def _modulus_value(m: int) -> int:
     if m < 2:
         raise ValueError(f"modulus must be >= 2, got {m}")
     return m
+
+
+class _Record:
+    """Base of the package's immutable records.  A subclass lists its
+    fields in order as __slots__ and sets them in its __init__ with
+    object.__setattr__.  Records of one type with equal fields are equal
+    and hash alike, a record of another type is never equal, repr is
+    Name(field=value, ...), assignment and deletion raise AttributeError,
+    and copy and pickle rebuild a record through its __init__."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls) -> None:
+        cls.__match_args__ = cls.__slots__
+        cls._key = attrgetter(*cls.__slots__)  # the one field, or a tuple of the fields
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._key(self) == other._key(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key(self))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value: Any) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self) -> tuple:
+        return type(self), tuple(getattr(self, name) for name in self.__slots__)
 
 
 class _Memo:

@@ -239,6 +239,8 @@ def test_frobenius_and_lift_refuse_non_integers():
     lambda x: dissected_component(x),
     lambda x: scan([1], 7, x),
     lambda x: scan([1], x, 60),
+    lambda x: scan([1, x], 7, 50, modular=True),  # True equals the k = 1 beside it
+    lambda x: scan([1, 2.5, 3], 7, 50, modular=True),  # a float strictly inside the range
     lambda x: theta_support_mod(ThetaFamily.JACOBI_CUBE, x),
     lambda x: enumerate_partitions(a(1), 3, cap=x),
     lambda x: count(a(1), x),
@@ -250,7 +252,7 @@ def test_frobenius_and_lift_refuse_non_integers():
 ], ids=["eval_eta", "pochhammer_f-order", "pochhammer_f-k", "theta_series", "verify_claim",
         "verify_mod7_family", "verify_mod7_lifts-j_max", "verify_mod7_lifts-upto",
         "verify_dissection_identity", "dissected_component", "scan", "scan-modulus",
-        "theta_support_mod", "enumerate_partitions-cap", "count",
+        "scan-k", "scan-k-between", "theta_support_mod", "enumerate_partitions-cap", "count",
         "oracle_series", "verify_frobenius", "lift_factorization_holds", "replay_proof-k",
         "replay_proof-order"])
 def test_orders_ranges_and_counts_refuse_non_integers(call):
