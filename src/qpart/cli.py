@@ -23,10 +23,9 @@ import functools
 import json
 import os
 import sys
-from typing import Iterable, Sequence
+from collections.abc import Iterable, Sequence
 
 from .congruence import (
-    CSV_COLUMNS,
     ClaimReport,
     ClaimSource,
     CongruenceClaim,
@@ -137,11 +136,36 @@ def _claim_line(report: ClaimReport) -> str:
     return f"{claim.describe()}: {status} [{claim.source.value}]"
 
 
+_CLAIM_COLUMNS = ["family", "k", "modulus", "residue", "checked_upto", "holds", "source"]
+
+
+def _claim_obj(report: ClaimReport) -> dict:
+    claim, ce = report.claim, report.counterexample
+    return {
+        "family": claim.spec.family.value,
+        "k": claim.spec.colors,
+        "modulus": claim.modulus,
+        "residue": claim.residue,
+        "checked_up_to": report.checked_up_to,
+        "holds": report.holds,
+        "counterexample": None if ce is None else {"n": ce.n, "value": str(ce.value)},
+        "source": claim.source.value,
+    }
+
+
+def _claim_row(report: ClaimReport) -> list[str]:
+    """The report under _CLAIM_COLUMNS."""
+    claim = report.claim
+    return [claim.spec.family.value, str(claim.spec.colors), str(claim.modulus),
+            str(claim.residue), str(report.checked_up_to), _flag(report.holds),
+            claim.source.value]
+
+
 def _emit_reports(reports: list[ClaimReport], fmt: str, paper_only: bool = False) -> int:
     """Print the reports; exit 1 if one fails (with `paper_only`, one
     that is not a candidate), else 0."""
-    _emit(fmt, [r.to_json_obj() for r in reports], CSV_COLUMNS,
-          (r.csv_row() for r in reports), "\n".join(map(_claim_line, reports)))
+    _emit(fmt, list(map(_claim_obj, reports)), _CLAIM_COLUMNS,
+          map(_claim_row, reports), "\n".join(map(_claim_line, reports)))
     return int(any(not r.holds for r in reports
                    if not (paper_only and r.claim.source is ClaimSource.CANDIDATE)))
 

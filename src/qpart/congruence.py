@@ -21,8 +21,8 @@ from __future__ import annotations
 import enum
 import operator
 import os
+from collections.abc import Callable, Iterable, Iterator
 from functools import lru_cache, reduce
-from typing import Callable, Iterable, Iterator
 
 from . import _kernels_py as kernels
 from .etaq import (
@@ -64,6 +64,8 @@ class CongruenceClaim(_Record):
 
     def __init__(self, spec: ColoredFamilySpec, modulus: int, residue: int,
                  source: ClaimSource = ClaimSource.CANDIDATE) -> None:
+        if not isinstance(spec, ColoredFamilySpec):
+            raise TypeError(f"spec must be a ColoredFamilySpec, got {spec!r}")
         modulus = _int_value(modulus, "modulus")
         residue = _int_value(residue, "residue")
         if modulus < 2:
@@ -71,6 +73,8 @@ class CongruenceClaim(_Record):
         if not 0 <= residue < modulus:
             raise ValueError(
                 f"residue must satisfy 0 <= r < {modulus}, got {residue}")
+        if not isinstance(source, ClaimSource):
+            raise TypeError(f"source must be a ClaimSource, got {source!r}")
         object.__setattr__(self, "spec", spec)
         object.__setattr__(self, "modulus", modulus)
         object.__setattr__(self, "residue", residue)
@@ -107,34 +111,6 @@ class ClaimReport(_Record):
     def holds(self) -> bool:
         return self.counterexample is None
 
-    def to_json_obj(self) -> dict:
-        ce = self.counterexample
-        return {
-            "family": self.claim.spec.family.value,
-            "k": self.claim.spec.colors,
-            "modulus": self.claim.modulus,
-            "residue": self.claim.residue,
-            "checked_up_to": self.checked_up_to,
-            "holds": self.holds,
-            "counterexample": None if ce is None else {"n": ce.n, "value": str(ce.value)},
-            "source": self.claim.source.value,
-        }
-
-    def csv_row(self) -> list[str]:
-        # fixed column order: family,k,modulus,residue,checked_upto,holds,source
-        return [
-            self.claim.spec.family.value,
-            str(self.claim.spec.colors),
-            str(self.claim.modulus),
-            str(self.claim.residue),
-            str(self.checked_up_to),
-            "true" if self.holds else "false",
-            self.claim.source.value,
-        ]
-
-
-CSV_COLUMNS = ["family", "k", "modulus", "residue", "checked_upto", "holds", "source"]
-
 # The five built-in (colors, residue) rows of the mod-7 family table.
 MOD7_FAMILY_ROWS: tuple[tuple[int, int], ...] = ((1, 5), (3, 2), (4, 4), (5, 6), (7, 3))
 _MOD7_RESIDUE = dict(MOD7_FAMILY_ROWS)
@@ -149,55 +125,24 @@ def ramanujan_claims() -> list[CongruenceClaim]:
 
 
 def family_expression(spec: ColoredFamilySpec) -> EtaExpression:
-    """Generating eta-quotient of a colored family.
-
-    ODD_COLORED:  f2^(k-1) / f1^k
-    EVEN_COLORED: 1 / (f1 * f2^(k-1))
-    """
-    k = spec.colors
-    if spec.family is Family.ODD_COLORED:
-        return EtaExpression.single(1, 0, {2: k - 1, 1: -k})
-    return EtaExpression.single(1, 0, {1: -1, 2: -(k - 1)})
+    """Generating eta-quotient of a colored family: f2^(i-j) / f1^i, with
+    i colors on odd parts and j on even parts, so f2^(k-1)/f1^k for
+    ODD_COLORED and 1/(f1 * f2^(k-1)) for EVEN_COLORED."""
+    i, j = spec.color_count(1), spec.color_count(2)
+    return EtaExpression.single(1, 0, {2: i - j, 1: -i})
 
 
 def _memo_key(family: Family, k: int, lane: int | None) -> tuple[Family, int, int | None]:
-    """The memo key of member k of the family in the lane: both families'
-    member 1 is 1/f1, kept once under family a."""
+    """The memo key of member k of the family in the lane, the modulus or
+    None for exact: both families' member 1 is 1/f1, kept once under
+    family a."""
     return (Family.ODD_COLORED if k == 1 else family, k, lane)
 
 
-class _SweepMemo(_Memo):
-    """The chain members family sweeps have built, keyed by _memo_key:
-    (family, k, lane), the lane being the modulus or None for exact,
-    with one entry for 1/f1, member 1 of either family, so that a chain
-    of either family can start from it.  Each key keeps its longest
-    series, charged its order: the least recently used ones go once the
-    series hold more than `capacity` coefficients in all, and a series
-    longer than that is never stored."""
-
-    def chain(self, family: Family, lane: int | None, first: int, last: int,
-              order: int) -> tuple[int, dict[int, TruncatedSeries]]:
-        """Where a chain through color counts first..last at the order
-        starts: the largest kept k' <= first whose series reaches the
-        order, which counts as used, or 0 for the series 1; and the kept
-        series of every k <= last, by k, whatever their order."""
-        with self._lock:
-            kept = {k: series for (f, k, lane_), series in self._kept.items()
-                    if k <= last and (f, k, lane_) == _memo_key(family, k, lane)}
-            start = max((k for k, series in kept.items()
-                         if k <= first and series.order >= order), default=0)
-            if start:
-                self._kept.move_to_end(_memo_key(family, start, lane))
-        return start, kept
-
-    def keep(self, family: Family, k: int, lane: int | None,
-             series: TruncatedSeries) -> None:
-        self.store(_memo_key(family, k, lane), series, series.order, series.order)
-
-
-# About three times what one round of the verify-exact benchmark keeps
-# (some 20,000 coefficients of a few hundred bits each).
-_MEMO = _SweepMemo(2**16)
+# The chain members family sweeps have built, by _memo_key, each charged
+# its order: 2^16 coefficients is about three times what one round of the
+# verify-exact benchmark keeps (some 20,000 of a few hundred bits each).
+_MEMO = _Memo(2**16)
 
 
 def _family_sweep(family: Family, ks: Iterable[int], order: int,
@@ -209,11 +154,11 @@ def _family_sweep(family: Family, ks: Iterable[int], order: int,
 
     The series form one chain, walked one member at a time from the
     kept member with the largest k' <= min(ks) in the same lane that
-    reaches the order (_MEMO.chain), or from the series 1.  Member 1 is
-    1/f1 in both families; past it family a steps by f2/f1 = psi/f2,
-    Gauss's psi = f2^2/f1 = sum_{n>=0} q^(n(n+1)/2), one product by psi
-    and one division by f2, and family b by a division by f2.  For each
-    k of the walk:
+    reaches the order, or from the series 1.  Member 1 is 1/f1 in both
+    families; past it family a steps by f2/f1 = psi/f2, Gauss's
+    psi = f2^2/f1 = sum_{n>=0} q^(n(n+1)/2), one product by psi and one
+    division by f2, and family b by a division by f2.  For each k of
+    the walk:
 
     * a member kept through the order is sliced;
     * a member kept to a shorter order is continued: its step computes
@@ -235,9 +180,12 @@ def _family_sweep(family: Family, ks: Iterable[int], order: int,
     by eval_eta, whose divisions all stay the recurrence, so eval_eta
     and the oracle_series DP stay independent checks of it.
 
-    The members walked are kept in _MEMO at their longest order, member
-    1 once for both families; a walk of more members than
-    capacity // order keeps only its newest capacity // order - 1.
+    The chain reads every kept member through max(ks) from _MEMO, and
+    each one it reads counts as used; it stores every member it walks,
+    at the member's longest order, member 1 once for both families.  A
+    walk of more members than capacity // order keeps only its newest
+    capacity // order - 1, and the least recently used entries go once
+    the kept series hold more than the capacity's coefficients in all.
     Before the memo is read, the work of a direct expansion of the
     largest k, plus one output series per further k, is refused above
     the expansion limit, so whether an input is refused does not depend
@@ -253,7 +201,10 @@ def _family_sweep(family: Family, ks: Iterable[int], order: int,
     m = None if modulus is None else _modulus_value(modulus)
     _refuse_above_limit(_expansion_work(family_expression(last), order)
                         + order * (len(ks) - 1))
-    start, kept = _MEMO.chain(family, m, first.colors, last.colors, order)
+    kept = {k: series for k in range(1, last.colors + 1)
+            if (series := _MEMO.get(_memo_key(family, k, m))) is not None}
+    start = max((k for k, series in kept.items()
+                 if k <= first.colors and series.order >= order), default=0)
     # a walk longer than the memo holds keeps only its newest members,
     # all but one member's room
     room = _MEMO.capacity // order
@@ -286,7 +237,7 @@ def _family_sweep(family: Family, ks: Iterable[int], order: int,
         if k == 1:
             inverse = coeffs
         if k >= oldest:
-            _MEMO.keep(family, k, m, series)
+            _MEMO.store(_memo_key(family, k, m), series, series.order, series.order)
         if k in ks:
             yield k, series
 

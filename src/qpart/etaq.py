@@ -17,9 +17,10 @@ into a sum of monomial terms c * q^s * prod fk^e.
 from __future__ import annotations
 
 import enum
+from collections import namedtuple
+from collections.abc import Mapping, Sequence
 from math import isqrt
 from operator import add
-from typing import Callable, Mapping, NamedTuple, Sequence, Union
 
 from . import _kernels_py as kernels
 from .series import TruncatedSeries, _int_value, _modulus_value, _Record
@@ -472,7 +473,7 @@ def _shared_factors(terms: Sequence[EtaTerm], order: int) -> tuple[tuple[int, in
     return tuple(shared)
 
 
-def eval_eta(expr: Union[EtaExpression, str], order: int,
+def eval_eta(expr: EtaExpression | str, order: int,
              modulus: int | None = None) -> TruncatedSeries:
     """Expand an eta-quotient expression through the given order.
 
@@ -548,13 +549,12 @@ class ThetaFamily(enum.Enum):
     OCTAGONAL_ALTERNATING = "octagonal-alternating"
 
 
-class _ClosedForm(NamedTuple):
+class _ClosedForm(namedtuple("_ClosedForm", ("product", "one_sided", "term"))):
     """The identity prod f_s^product[s] = sum_n weight(n) * q^exponent(n),
-    summed over n >= 0 if one_sided, else over all integers."""
+    summed over n >= 0 if one_sided, else over all integers: product
+    maps s to its exponent, and term maps n to (exponent(n), weight(n))."""
 
-    product: Mapping[int, int]
-    one_sided: bool
-    term: Callable[[int], tuple[int, int]]  # n -> (exponent, weight)
+    __slots__ = ()
 
 
 # Euler's pentagonal number theorem for f1 and Gauss's identity for
@@ -563,7 +563,7 @@ class _ClosedForm(NamedTuple):
 # _EULER; _PSI serves the family sweep of qpart.congruence alone.
 _EULER = "euler-pentagonal"
 _PSI = "gauss-psi"
-_CLOSED_FORMS: dict[Union[ThetaFamily, str], _ClosedForm] = {
+_CLOSED_FORMS: dict[ThetaFamily | str, _ClosedForm] = {
     _EULER: _ClosedForm({1: 1}, False, lambda n: (n * (3 * n - 1) // 2, -1 if n & 1 else 1)),
     _PSI: _ClosedForm({1: -1, 2: 2}, True, lambda n: (n * (n + 1) // 2, 1)),
     ThetaFamily.JACOBI_CUBE: _ClosedForm(

@@ -40,6 +40,8 @@ class ColoredFamilySpec(_Record):
     __slots__ = ("family", "colors")
 
     def __init__(self, family: Family, colors: int) -> None:
+        if not isinstance(family, Family):
+            raise TypeError(f"family must be a Family, got {family!r}")
         colors = _int_value(colors, "color count")
         if colors < 1:
             raise ValueError(f"color count must be an integer >= 1, got {colors}")

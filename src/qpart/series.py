@@ -11,9 +11,8 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from collections.abc import Hashable
+from collections.abc import Hashable, Iterable, Iterator
 from operator import attrgetter, index
-from typing import Any, Iterable, Iterator, Union
 
 from . import _kernels_py as kernels
 
@@ -66,7 +65,7 @@ class _Record:
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
         return f"{type(self).__qualname__}({fields})"
 
-    def __setattr__(self, name: str, value: Any) -> None:
+    def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(f"cannot assign to field {name!r}")
 
     def __delattr__(self, name: str) -> None:
@@ -87,7 +86,7 @@ class _Memo:
     def __init__(self, capacity: int):
         self.capacity = capacity
         self.size = 0
-        self._kept: OrderedDict[Hashable, Any] = OrderedDict()
+        self._kept: OrderedDict[Hashable, object] = OrderedDict()
         self._charges: dict[Hashable, tuple[int, int]] = {}  # (length, cost)
         self._lock = threading.Lock()
 
@@ -97,7 +96,7 @@ class _Memo:
             self._charges.clear()
             self.size = 0
 
-    def get(self, key: Hashable) -> Any:
+    def get(self, key: Hashable) -> object:
         """The value kept under the key, which counts as used, or None."""
         with self._lock:
             value = self._kept.get(key)
@@ -105,7 +104,7 @@ class _Memo:
                 self._kept.move_to_end(key)
         return value
 
-    def store(self, key: Hashable, value: Any, length: int, cost: int) -> None:
+    def store(self, key: Hashable, value: object, length: int, cost: int) -> None:
         """Keep the value under the key unless the value kept there is at
         least `length` long, which then counts as used."""
         with self._lock:
@@ -231,7 +230,7 @@ class TruncatedSeries:
     def __neg__(self) -> "TruncatedSeries":
         return TruncatedSeries([-c for c in self._coeffs])
 
-    def __mul__(self, other: Union["TruncatedSeries", int]) -> "TruncatedSeries":
+    def __mul__(self, other: "TruncatedSeries | int") -> "TruncatedSeries":
         if isinstance(other, int):
             other = _int_value(other, "scalar")
             return TruncatedSeries([c * other for c in self._coeffs])

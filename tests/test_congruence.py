@@ -5,6 +5,7 @@ import json
 import pytest
 
 from qpart import _kernels_py, congruence, etaq
+from qpart.cli import main
 from qpart.congruence import (
     MOD7_FAMILY_ROWS,
     ClaimSource,
@@ -129,17 +130,19 @@ def test_claim_refused_exactly_when_its_own_expansion_is(monkeypatch):
         verify_claim(claim, 40)
 
 
-def test_report_json_schema():
-    report = verify_claim(CongruenceClaim(a(1), 7, 0, ClaimSource.CANDIDATE), 10)
-    obj = report.to_json_obj()
+def test_report_json_schema(capsys):
+    code = main(["verify", "claim", "--family", "a", "--k", "1", "--mod", "7",
+                 "--residue", "0", "--upto", "10", "--format", "json"])
+    out = capsys.readouterr().out
+    assert code == 1
+    [obj] = json.loads(out)
     assert obj == {
         "family": "a", "k": 1, "modulus": 7, "residue": 0,
         "checked_up_to": 10, "holds": False,
         "counterexample": {"n": 0, "value": "1"},
         "source": "candidate",
     }
-    # round-trips through JSON text
-    assert json.loads(json.dumps(obj)) == obj
+    assert out == json.dumps([obj], indent=2) + "\n"
 
 
 # -- the built-in tables -----------------------------------------------------
@@ -463,7 +466,8 @@ def _swept_in_memo_state(state, family, order, m, exact):
     congruence._MEMO.clear()
 
     def keep(k, n):
-        congruence._MEMO.keep(family, k, m, exact[k].truncate(n).reduce_mod(m))
+        series = exact[k].truncate(n).reduce_mod(m)
+        congruence._MEMO.store(congruence._memo_key(family, k, m), series, n, n)
 
     ks = range(1, 9)
     if state == "short 1/f1":
@@ -561,7 +565,8 @@ def test_a_chain_past_member_1_builds_no_p_that_would_not_pack(kernel_passes):
     order, m = 400, 2**64 + 13
     exact = _exact_members(Family.EVEN_COLORED, order)
     congruence._MEMO.clear()
-    congruence._MEMO.keep(Family.EVEN_COLORED, 3, m, exact[3].reduce_mod(m))
+    congruence._MEMO.store(congruence._memo_key(Family.EVEN_COLORED, 3, m),
+                           exact[3].reduce_mod(m), order, order)
     kernel_passes.clear()
     swept = dict(congruence._family_sweep(Family.EVEN_COLORED, [3, 5], order, m))
     assert kernel_passes == [("div", order)] * 2

@@ -45,7 +45,7 @@ from qpart.etaq import (
     pochhammer_f,
 )
 from qpart.partitions import ColoredFamilySpec, Family, _count_table, oracle_series
-from qpart.series import TruncatedSeries
+from qpart.series import TruncatedSeries, _Memo
 
 from oracles import colored_partition_counts, pochhammer_by_product, poly_inv, poly_mul
 
@@ -208,7 +208,7 @@ def _run(call):
 def _cold(call):
     """The call on an empty memo, leaving the warm one as it was."""
     warm = congruence._MEMO
-    congruence._MEMO = congruence._SweepMemo(warm.capacity)
+    congruence._MEMO = _Memo(warm.capacity)
     try:
         return _run(call)
     finally:
@@ -305,13 +305,17 @@ def test_memo_bound_and_eviction(monkeypatch):
     assert list(kept) == [(Family.ODD_COLORED, 1, None), (Family.ODD_COLORED, 1, 7),
                           (Family.EVEN_COLORED, 2, 7)]
     assert congruence._MEMO.size == 300
-    # a series longer than the bound is never kept, nor does it evict anything
+    # a series longer than the bound is never kept, nor does it evict
+    # anything; the chain read the kept a_1, which counts as used
     list(_family_sweep(Family.ODD_COLORED, [4], 301))
     assert (Family.ODD_COLORED, 4, None) not in kept and congruence._MEMO.size == 300
-    # a longer series of a kept k replaces the shorter one
+    assert list(kept) == [(Family.ODD_COLORED, 1, 7), (Family.EVEN_COLORED, 2, 7),
+                          (Family.ODD_COLORED, 1, None)]
+    # a longer series of a kept k replaces the shorter one, and b_2, now
+    # the least recently used, goes
     list(_family_sweep(Family.EVEN_COLORED, [1], 150, 7))
     assert [(key, s.order) for key, s in kept.items()] == [
-        ((Family.EVEN_COLORED, 2, 7), 100), ((Family.ODD_COLORED, 1, 7), 150)]
+        ((Family.ODD_COLORED, 1, None), 100), ((Family.ODD_COLORED, 1, 7), 150)]
     assert congruence._MEMO.size == 250
 
 

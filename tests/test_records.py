@@ -21,6 +21,7 @@ from qpart import (
     Family,
     ProofStep,
     ProofTrace,
+    scan,
 )
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -95,9 +96,17 @@ def test_records_of_different_classes_differ():
     (lambda: CongruenceClaim(_SPEC, 1, 0), ValueError, "modulus must be >= 2"),
     (lambda: CongruenceClaim(_SPEC, 7, 7), ValueError, "residue must satisfy 0 <= r < 7, got 7"),
     (lambda: CongruenceClaim(_SPEC, 7, True), TypeError, "residue must be an integer, got True"),
+    # a family, spec or source that is not its class would be taken for another one
+    (lambda: ColoredFamilySpec("a", 3), TypeError, "family must be a Family, got 'a'"),
+    (lambda: CongruenceClaim("a_3", 7, 2), TypeError,
+     "spec must be a ColoredFamilySpec, got 'a_3'"),
+    (lambda: CongruenceClaim(_SPEC, 7, 2, "theorem"), TypeError,
+     "source must be a ClaimSource, got 'theorem'"),
+    (lambda: scan([1], 7, 60, family="a"), TypeError, "family must be a Family, got 'a'"),
 ], ids=["spec-zero", "spec-float", "spec-bool", "term-bool", "term-shift",
         "term-scale", "term-order", "term-exponent", "expression-empty", "partition-color",
-        "partition-order", "claim-modulus", "claim-residue", "claim-bool"])
+        "partition-order", "claim-modulus", "claim-residue", "claim-bool", "spec-family",
+        "claim-spec", "claim-source", "scan-family"])
 def test_record_validation_messages(make, error, message):
     with pytest.raises(error) as info:
         make()
@@ -117,7 +126,7 @@ def test_records_normalise_integer_fields():
 
 def test_import_loads_no_dataclasses_inspect_or_resources():
     # -E -S: no site-packages and no .pth files, which may load these themselves
-    unwanted = ("dataclasses", "inspect", "importlib.resources")
+    unwanted = ("dataclasses", "inspect", "importlib.resources", "typing")
     code = (f"import sys; sys.path.insert(0, {str(SRC)!r}); import qpart, qpart.cli; "
             f"print(*[m for m in {unwanted!r} if m in sys.modules])")
     proc = subprocess.run([sys.executable, "-E", "-S", "-c", code],
