@@ -43,7 +43,7 @@ from .etaq import (
     theta_series,
     theta_support_mod,
 )
-from .partitions import ColoredFamilySpec, Family
+from .partitions import ColoredFamilySpec, Family, _count_bits
 from .series import TruncatedSeries, _int_value, _Memo, _modulus_value, _Record
 
 
@@ -168,7 +168,13 @@ def _family_sweep(family: Family, ks: Iterable[int], order: int,
       which checks its result, or kernels.div where that does not halve;
     * any other member is its step from the member before, the product
       kernels.mul(psi, ...) and the quotient kernels.div(..., f2, ...,
-      inverse=P, scale=2).
+      inverse=P, scale=2), both given bits = _count_bits(member k,
+      N - 1), N the order.  In the exact lane a step with no kept
+      prefix then runs on packed pairs (see qpart._kernels_py): member
+      k's coefficients lie below 2^bits, and so do those of the product
+      psi * a_(k-1) = (f2/f1)^k, which member k, (f2/f1)^k / f2, bounds
+      coefficientwise, as 1/f2 has nonnegative coefficients and
+      constant term 1.
 
     P = 1/f1 through ceil(N/2), N the order, lets kernels.div run a
     division by f2 = f1(q^2) with no kept prefix as two packed products,
@@ -176,9 +182,11 @@ def _family_sweep(family: Family, ks: Iterable[int], order: int,
     sweep has it, walked or kept through ceil(N/2).  A chain that starts
     past member 1 without it (a shorter kept P is not continued) builds
     P once, by inverse_by_halving, before its first step with no kept
-    prefix, and runs the recurrence where that does not halve.  psi is read by this sweep only, never
-    by eval_eta, whose divisions all stay the recurrence, so eval_eta
-    and the oracle_series DP stay independent checks of it.
+    prefix, and runs the recurrence where that does not halve.  psi and
+    the bound are read by this sweep only, never by eval_eta, whose
+    products all stay the slice loop and whose divisions the
+    recurrence, so eval_eta and the oracle_series DP stay independent
+    checks of it.
 
     The chain reads every kept member through max(ks) from _MEMO, and
     each one it reads counts as used; it stores every member it walks,
@@ -195,10 +203,12 @@ def _family_sweep(family: Family, ks: Iterable[int], order: int,
     if order < 1:
         raise ValueError("order must be >= 1")
     ks = {_int_value(k, "color count") for k in ks}
+    # the family and the modulus are checked also where ks is empty
+    first = ColoredFamilySpec(family, min(ks, default=1))
+    m = None if modulus is None else _modulus_value(modulus)
     if not ks:
         return
-    first, last = ColoredFamilySpec(family, min(ks)), ColoredFamilySpec(family, max(ks))
-    m = None if modulus is None else _modulus_value(modulus)
+    last = ColoredFamilySpec(family, max(ks))
     _refuse_above_limit(_expansion_work(family_expression(last), order)
                         + order * (len(ks) - 1))
     kept = {k: series for k in range(1, last.colors + 1)
@@ -230,9 +240,11 @@ def _family_sweep(family: Family, ks: Iterable[int], order: int,
             else:
                 if not known and inverse is not None and len(inverse) < h:
                     inverse = kernels.inverse_by_halving(f1, psi, h, m)
+                bits = _count_bits(ColoredFamilySpec(family, k), order - 1)
                 if family is Family.ODD_COLORED:
-                    coeffs = kernels.mul(psi, coeffs, order, m, len(known))
-                coeffs = kernels.div(coeffs, f2, order, m, known, inverse=inverse, scale=2)
+                    coeffs = kernels.mul(psi, coeffs, order, m, len(known), bits)
+                coeffs = kernels.div(coeffs, f2, order, m, known, inverse=inverse, scale=2,
+                                     bits=bits)
             series = TruncatedSeries(coeffs)
         if k == 1:
             inverse = coeffs
@@ -260,8 +272,9 @@ def verify_claim(claim: CongruenceClaim, upto: int,
     of one packed int, and each division by f2 as two packed products
     through 1/f1 (see _family_sweep).  a_5(7n+6) at upto 300 then takes
     0.0068 s, against 0.0090 s by one packed product per pass and a
-    recurrence for 1/f1 and 0.036 s in the exact lane (best of 7, cold
-    memo, Python 3.11.7, 2 cores).
+    recurrence for 1/f1, and 0.024 s in the exact lane, whose steps run
+    on packed pairs, against 0.035 s on the loops (best of 7, best of
+    25 in the exact lane, cold memo, Python 3.11.7, 2 cores).
     """
     upto = _int_value(upto, "upto")
     if upto < 1:
@@ -599,10 +612,12 @@ def scan(k_values: Iterable[int], modulus: int, upto: int,
     of one packed int, and every division by f2 two packed products
     through 1/f1 (see _family_sweep): k = 1..8 mod 7 at upto 300 takes
     0.009 s, against 0.013 s by one packed product per pass and a
-    recurrence for 1/f1 and 0.061 s in the exact lane, and family b mod
-    11 0.019 s against 0.021 s; at upto 4000, 0.37 s against 0.73 s
-    and 0.68 s against 1.41 s (best of 7, best of 3 at upto 4000, cold
-    memo, Python 3.11.7, 2 cores).
+    recurrence for 1/f1, and 0.043 s in the exact lane, whose steps run
+    on packed pairs, against 0.060 s on the loops; family b mod 11
+    0.019 s against 0.021 s, and 0.040 s against 0.057 s in the exact
+    lane; at upto 4000, 0.37 s against 0.73 s and 0.68 s against 1.41 s
+    (best of 7, best of 25 in the exact lane, best of 3 at upto 4000,
+    cold memo, Python 3.11.7, 2 cores).
     """
     modulus, upto = _int_value(modulus, "modulus"), _int_value(upto, "upto")
     if upto < 50:

@@ -37,15 +37,15 @@ def kernel_passes(monkeypatch):
     passes = _Passes()
     mul, div = _kernels_py.mul, _kernels_py.div
 
-    def counted_mul(a, b, n, m=None, start=0):
+    def counted_mul(a, b, n, m=None, start=0, bits=None):
         passes.append(("mul", n - start))
         passes.work += (n - start) * _nonzeros(a, n)
-        return mul(a, b, n, m, start)
+        return mul(a, b, n, m, start, bits)
 
-    def counted_div(a, b, n, m=None, known=(), inverse=None, scale=1):
+    def counted_div(a, b, n, m=None, known=(), inverse=None, scale=1, bits=None):
         passes.append(("div", n - len(known)))
         passes.work += (n - len(known)) * _nonzeros(b, n)
-        return div(a, b, n, m, known, inverse, scale)
+        return div(a, b, n, m, known, inverse, scale, bits)
 
     monkeypatch.setattr(_kernels_py, "mul", counted_mul)
     monkeypatch.setattr(_kernels_py, "div", counted_div)

@@ -500,12 +500,12 @@ def test_a_wrong_inverse_of_f2_shows_in_the_modular_sweep(family, state, monkeyp
     divisions shows."""
     div, handed = _kernels_py.div, []
 
-    def wrong(a, b, n, m=None, known=(), inverse=None, scale=1):
+    def wrong(a, b, n, m=None, known=(), inverse=None, scale=1, bits=None):
         if inverse is not None and not known:
             handed.append(n)
             inverse = list(inverse)
             inverse[1] += 1
-        return div(a, b, n, m, known, inverse, scale)
+        return div(a, b, n, m, known, inverse, scale, bits)
 
     monkeypatch.setattr(_kernels_py, "div", wrong)
     for order in SWEEP_ORDERS[2:]:  # the shorter orders run below _PACK_FROM

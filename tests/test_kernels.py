@@ -2,6 +2,7 @@
 
 import random
 from functools import lru_cache
+from itertools import accumulate
 
 import pytest
 from hypothesis import given, settings
@@ -375,3 +376,50 @@ def test_a_wrong_psi_or_inverse_fails_the_check_of_the_halving(monkeypatch):
     monkeypatch.setattr(_kernels_py, "_halve", corrupted)
     with pytest.raises(RuntimeError):
         _kernels_py.inverse_by_halving(f1, psi, n, m)
+
+
+# -- the exact lane's paired paths ------------------------------------------------
+
+big_or_small = st.one_of(st.integers(0, 9), st.integers(0, 2**70))
+
+
+@st.composite
+def nonnegative_products(draw):
+    """(a, b, n) whose product through n has no negative coefficient:
+    either b is shorter than n and a nonnegative, or b is nondecreasing
+    through n and a has nonnegative partial sums A_j, with +-1 and other
+    entries, so coefficient t of the product,
+    sum_j A_j * (b[t-j] - b[t-j-1]), is nonnegative too."""
+    n = draw(st.integers(1, 300))
+    partial = draw(st.lists(st.sampled_from((0, 0, 1, 2, 5)), min_size=1, max_size=n + 5))
+    b = list(accumulate(draw(st.lists(big_or_small, min_size=1, max_size=n + 5))))
+    if len(b) < n and draw(st.booleans()):
+        return partial, b, n
+    a = [partial[0], *(y - x for x, y in zip(partial, partial[1:]))]
+    return a, b + [b[-1]] * (n - len(b)), n
+
+
+def _width(coeffs, extra):
+    return max(1, max(coeffs, default=0).bit_length()) + extra
+
+
+@checked
+@given(product=nonnegative_products(), extra=st.integers(0, 3))
+def test_paired_product_against_oracle(product, extra):
+    a, b, n = product
+    expected = poly_mul(a, b, n)
+    assert _kernels_py._mul_pairs(a, b, n, _width(expected, extra)) == expected
+
+
+@checked
+@given(c=st.lists(big_or_small, min_size=1, max_size=300),
+       half=st.lists(st.sampled_from((0, 0, 0, 1, -1, 3)), max_size=150),
+       b0=st.sampled_from((1, -1)), extra=st.integers(0, 3))
+def test_paired_quotient_against_oracle(c, half, b0, extra):
+    """div(a, b, n) on pairs, for b a series in q^2 with few or many
+    terms, b[0] = +-1, and a nonnegative quotient c at odd and even n."""
+    n = len(c)
+    b = [0] * (2 * len(half) + 1)
+    b[::2] = [b0, *half]
+    a = poly_mul(c, b, n)
+    assert _kernels_py._div_pairs(a, b, n, _width(c, extra)) == c

@@ -12,9 +12,12 @@ each term on its own.  The family sweep, which steps
 from one color count to the next, is compared with `eval_eta` for every
 k it yields; random sequences of verifier calls, which share series
 through the sweep's memo, are compared with the same calls on an empty
-memo.  The series ring laws are checked exactly and mod m, and the
-parser is fed generated garbage.  Examples are derandomized and
-capped, so every run checks the same inputs.
+memo.  The exact lane's paired chain steps are compared with the
+loops and the partition counts, and the bound they take their width
+from with every member through order 2107.  The series ring laws are
+checked exactly and mod m, and the parser is fed generated garbage.
+Examples are derandomized and capped, so every run checks the same
+inputs.
 """
 
 import sys
@@ -26,7 +29,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qpart import congruence, etaq
+from qpart import _kernels_py, congruence, etaq
 from qpart.congruence import (
     CongruenceClaim,
     _family_sweep,
@@ -44,7 +47,13 @@ from qpart.etaq import (
     parse_eta,
     pochhammer_f,
 )
-from qpart.partitions import ColoredFamilySpec, Family, _count_table, oracle_series
+from qpart.partitions import (
+    ColoredFamilySpec,
+    Family,
+    _count_bits,
+    _count_table,
+    oracle_series,
+)
 from qpart.series import TruncatedSeries, _Memo
 
 from oracles import colored_partition_counts, pochhammer_by_product, poly_inv, poly_mul
@@ -353,6 +362,88 @@ def test_a_walk_longer_than_the_memo_leaves_room_for_other_entries():
     assert (Family.EVEN_COLORED, 2, 7) in kept
     assert sorted(k for family, k, m in kept if m is None) == list(range(1364, 3001))
     assert _memo_within_bound()
+
+
+def _step_operands(order):
+    return (etaq._pochhammer_coeffs(2, order),
+            etaq._closed_form(etaq._CLOSED_FORMS[etaq._PSI], order))
+
+
+@settings(checked, max_examples=60)
+@given(family=st.sampled_from(Family), k=st.integers(2, 12),
+       order=st.one_of(st.integers(1, 8), st.integers(1, 400)),
+       pair_from=st.sampled_from((1, _kernels_py._PAIR_FROM)))
+@example(family=Family.ODD_COLORED, k=12, order=2107, pair_from=_kernels_py._PAIR_FROM)
+@example(family=Family.EVEN_COLORED, k=12, order=2107, pair_from=_kernels_py._PAIR_FROM)
+@example(family=Family.ODD_COLORED, k=2, order=2106, pair_from=_kernels_py._PAIR_FROM)
+@example(family=Family.EVEN_COLORED, k=7, order=_kernels_py._PAIR_FROM, pair_from=1)
+@example(family=Family.ODD_COLORED, k=5, order=_kernels_py._PAIR_FROM - 1,
+         pair_from=_kernels_py._PAIR_FROM)
+def test_paired_steps_match_the_loops_and_the_dp(family, k, order, pair_from):
+    """One chain step from member k-1, taken from the partition DP, by
+    the kernels with the bound of member k (the paired paths from
+    pair_from on) and without it (the loops): the two agree, and the
+    quotient is member k, at odd and even orders on both sides of
+    _PAIR_FROM."""
+    f2, psi = _step_operands(order)
+    bits = _count_bits(ColoredFamilySpec(family, k), order - 1)
+    x = list(oracle_series(ColoredFamilySpec(family, k - 1), order).coeffs)
+    with mock.patch.object(_kernels_py, "_PAIR_FROM", pair_from):
+        if family is Family.ODD_COLORED:
+            product = _kernels_py.mul(psi, x, order, bits=bits)
+            x = _kernels_py.mul(psi, x, order)
+            assert product == x
+        quotient = _kernels_py.div(x, f2, order, scale=2, bits=bits)
+    assert quotient == _kernels_py.div(x, f2, order)
+    assert quotient == list(oracle_series(ColoredFamilySpec(family, k), order).coeffs)
+
+
+@pytest.mark.parametrize("family", list(Family))
+def test_only_steps_with_no_kept_prefix_run_on_pairs(family, monkeypatch):
+    """At order 2107 every step of a cold chain runs on pairs; a chain
+    continued to 2107 from members kept at 2000, and eval_eta's passes,
+    run the loops."""
+    calls = []
+    for name in ("_mul_pairs", "_div_pairs"):
+        def recorded(*args, name=name, kernel=getattr(_kernels_py, name)):
+            calls.append(name)
+            return kernel(*args)
+        monkeypatch.setattr(_kernels_py, name, recorded)
+    step = ["_mul_pairs", "_div_pairs"] if family is Family.ODD_COLORED else ["_div_pairs"]
+    list(_family_sweep(family, [2, 4], 2107))
+    assert calls == step * 3
+    congruence._MEMO.clear()
+    list(_family_sweep(family, [2, 4], 2000))
+    calls.clear()
+    swept = dict(_family_sweep(family, [2, 4], 2107))
+    assert calls == []
+    expr = family_expression(ColoredFamilySpec(family, 4))
+    assert eval_eta(expr, 2107) == swept[4]
+    assert calls == []
+
+
+def test_count_bits_bounds_every_member_and_product():
+    """Every coefficient n of members 1..40 of both families, and of the
+    products psi * a_(k-1), lies in 0 .. 2^_count_bits(member k, n) - 1
+    through order 2107: the bound the paired steps take their slot
+    width from."""
+    order = 2107
+    f1 = etaq._pochhammer_coeffs(1, order)
+    f2, psi = _step_operands(order)
+
+    def within(coeffs, spec):
+        return all(0 <= c < 1 << _count_bits(spec, n) for n, c in enumerate(coeffs))
+
+    for family in Family:
+        member = _kernels_py.div((1,), f1, order)
+        assert within(member, ColoredFamilySpec(family, 1))
+        for k in range(2, 41):
+            spec = ColoredFamilySpec(family, k)
+            if family is Family.ODD_COLORED:
+                member = _kernels_py.mul(psi, member, order)
+                assert within(member, spec), k
+            member = _kernels_py.div(member, f2, order)
+            assert within(member, spec), k
 
 
 @checked

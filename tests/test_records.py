@@ -103,10 +103,11 @@ def test_records_of_different_classes_differ():
     (lambda: CongruenceClaim(_SPEC, 7, 2, "theorem"), TypeError,
      "source must be a ClaimSource, got 'theorem'"),
     (lambda: scan([1], 7, 60, family="a"), TypeError, "family must be a Family, got 'a'"),
+    (lambda: scan([], 7, 60, family="zzz"), TypeError, "family must be a Family, got 'zzz'"),
 ], ids=["spec-zero", "spec-float", "spec-bool", "term-bool", "term-shift",
         "term-scale", "term-order", "term-exponent", "expression-empty", "partition-color",
         "partition-order", "claim-modulus", "claim-residue", "claim-bool", "spec-family",
-        "claim-spec", "claim-source", "scan-family"])
+        "claim-spec", "claim-source", "scan-family", "scan-no-colors-family"])
 def test_record_validation_messages(make, error, message):
     with pytest.raises(error) as info:
         make()
