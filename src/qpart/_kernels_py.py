@@ -125,7 +125,7 @@ def mul(a, b, n, m=None, start=0, bits=None):
         j = i + lb
         if j <= start:
             continue
-        lo, bs = (i, b) if i >= start else (start, b[start - i:])
+        lo, bs = (i, b) if i >= start else (start, b[start - i:n - i])
         ai = a[i]
         if ai == 1:
             out[lo:j] = map(add, out[lo:j], bs)

@@ -536,7 +536,7 @@ def replay_proof(k: int, order: int = 300) -> ProofTrace:
     rewritten_expr = EtaExpression.single(1, 0, {**exponents, 7 * scale: -1})
     numerator = eval_eta(numerator_expr, order)
     rewritten = TruncatedSeries(_apply_factors(numerator.coeffs, ((7 * scale, -1),),
-                                               order, None))
+                                               order, None)[0])
 
     frobenius_ok = (verify_frobenius(scale, 1, 7, order)
                     and (transformed - rewritten).reduce_mod(7).is_zero())

@@ -19,7 +19,7 @@ from __future__ import annotations
 import enum
 from collections import namedtuple
 from collections.abc import Mapping, Sequence
-from math import isqrt
+from math import gcd, isqrt
 from operator import add
 
 from . import _kernels_py as kernels
@@ -370,36 +370,125 @@ _MAX_EXPANSION_WORK = 10**8
 _PASS_OVERHEAD = 40  # a pass at order 1 takes 1-1.5 us; an addition at order 2107, 35-45 ns
 
 
-def _apply_factors(acc: Sequence[int] | None, factors, n: int, m: int | None) -> list[int]:
+def _apply_factors(acc: Sequence[int] | None, factors, n: int,
+                   m: int | None) -> tuple[list[int], int]:
     """acc * prod fk^e through order n, mod m if set, for (k, e) pairs as
     in EtaTerm.factors, acc None standing for the series 1: the pass
-    loop of eval_eta and of replay_proof's division by f_7s.
+    loop of eval_eta and of replay_proof's division by f_7s.  Returns
+    (coeffs, g), the result being coeffs at q -> q^g: its coefficient
+    g*i is coeffs[i] for i < ceil(n/g), and every other one is 0.
 
-    Each factor costs |e| passes over fk through order n, the products
-    first: each is kernels.mul(fk, acc), or a copy of fk when acc is the
-    series 1; then each quotient kernels.div(acc, fk), the recurrence.
+    Each factor costs |e| passes over fk, a product kernels.mul(fk, acc)
+    or a quotient kernels.div(acc, fk), the recurrence.  Given acc, g is
+    1 and every pass runs through n, the products first.
+
+    From the series 1 the factors run in the order of _plan_factors.
+    While the scales applied so far have gcd g, the running series is
+    F(q^g), and fk is f_(k/g)(q^g); truncation mod q^n commutes with
+    q -> q^g, so each pass multiplies or divides F by f_(k/g) through
+    ceil(n/g), and the result is exact.  The first pass of the first
+    factor is a copy of f1 through ceil(n/k) where its e > 0, a quotient
+    of the series 1 otherwise; where the gcd falls from g to g', F is
+    spread to q -> q^(g/g') once.  With no factors the result is the
+    series 1, ([1], n).
     """
-    for k, e in sorted(factors, key=lambda f: f[1] < 0):
-        fk = _pochhammer_coeffs(k, n)
+    if acc is None:
+        g, factors = 0, _plan_factors(factors, n)  # gcd(0, k) = k
+    else:
+        g, factors = 1, sorted(factors, key=lambda f: f[1] < 0)
+    for k, e in factors:
+        step = gcd(g, k)
+        length = -(-n // step)
+        if step < g:
+            spread = [0] * length
+            spread[:: g // step] = acc
+            acc = spread
+        g = step
+        fk = _pochhammer_coeffs(k // g, length)
         for _ in range(abs(e)):
             if e < 0:
-                acc = kernels.div((1,) if acc is None else acc, fk, n, m)
+                acc = kernels.div((1,) if acc is None else acc, fk, length, m)
             elif acc is not None:
-                acc = kernels.mul(fk, acc, n, m)
+                acc = kernels.mul(fk, acc, length, m)
             else:
                 acc = list(fk) if m is None else [x % m for x in fk]
-    return [1] + [0] * (n - 1) if acc is None else acc
+    return ([1], n) if acc is None else (acc, g)
+
+
+# _plan_factors runs its dynamic program, 32 steps at most, for up to
+# _PLAN_MAX factors, as many as the terms of the 7-dissection identity
+# carry (f1, f2, f7 and f14), and from order _PLAN_FROM on: timed
+# against the products-first order on the expand terms of perfbench's
+# cli-mixed workload and on the dissection identity, planning cost
+# about as much as it saved near that order, and less from there on.
+_PLAN_MAX = 4
+_PLAN_FROM = 64
+
+
+def _plan_factors(factors, n: int):
+    """The factors (k, e) of a term in the order in which _apply_factors
+    expands them from the series 1 with the least planned work: per
+    factor |e| passes, each charged ceil(n/g) * nnz(fk below n) plus
+    _PASS_OVERHEAD, g the gcd of the scales applied up to and including
+    k, less one pass of the first factor where its e > 0, that pass
+    being a copy.  g depends only on the set of factors applied, and so
+    does the charge of the last one, so a cheapest order through a set
+    is a cheapest order through the set less some factor, then that
+    factor: a dynamic program over the subsets, s * 2^(s-1) steps for
+    s factors, where the s! orders would take s * s! steps.  With one
+    factor, more than _PLAN_MAX or n below _PLAN_FROM, the products run
+    first, as on a given acc; the passes still run at the running gcd."""
+    size = len(factors)
+    if size < 2 or size > _PLAN_MAX or n < _PLAN_FROM:
+        return sorted(factors, key=lambda f: f[1] < 0)
+    full = 1 << size
+    members = range(size)
+    bits = [1 << i for i in members]
+    passes = [abs(e) for _, e in factors]
+    nonzeros = [_nonzeros(k, n) for k, _ in factors]
+    scale = [0] * full  # the gcd of the scales in a subset
+    cost = [0] * full  # the least work through a subset
+    last = [0] * full  # the factor that a cheapest order through it ends with
+    for i, (k, e) in enumerate(factors):
+        scale[bits[i]] = k
+        cost[bits[i]] = (passes[i] - (e > 0)) * (-(-n // k) * nonzeros[i] + _PASS_OVERHEAD)
+        last[bits[i]] = i
+    for subset in range(3, full):
+        low = subset & -subset
+        if low == subset:
+            continue
+        g = scale[subset] = gcd(scale[subset ^ low], scale[low])
+        length = -(-n // g)
+        best = None
+        for i in members:
+            if subset & bits[i]:
+                c = cost[subset ^ bits[i]] + passes[i] * (length * nonzeros[i] + _PASS_OVERHEAD)
+                if best is None or c < best:
+                    best = c
+                    last[subset] = i
+        cost[subset] = best
+    order = []
+    subset = full - 1
+    while subset:
+        i = last[subset]
+        order.append(factors[i])
+        subset ^= bits[i]
+    return order[::-1]
+
+
+def _nonzeros(k: int, n: int) -> int:
+    """The nonzero coefficients of fk below order n: the constant term
+    and, by Euler's pentagonal theorem, one term q^(k*j(3j-1)/2) per
+    integer j != 0 with j(3j-1)/2 <= X = (n-1)//k, that is 6j - 1 <= s
+    for j > 0 and -6j + 1 <= s for j < 0, where s = isqrt(1 + 24X)."""
+    s = isqrt(1 + 24 * ((n - 1) // k))
+    return 1 + (1 + s) // 6 + (s - 1) // 6
 
 
 def _pass_work(k: int, n: int) -> int:
     """Coefficient additions charged for one pass over fk through order n:
-    n times the nonzeros of fk below n, plus _PASS_OVERHEAD.  Those are
-    the constant term and, by Euler's pentagonal theorem, one term
-    q^(k*j(3j-1)/2) per integer j != 0 with j(3j-1)/2 <= X = (n-1)//k,
-    that is 6j - 1 <= s for j > 0 and -6j + 1 <= s for j < 0, where
-    s = isqrt(1 + 24X)."""
-    s = isqrt(1 + 24 * ((n - 1) // k))
-    return n * (1 + (1 + s) // 6 + (s - 1) // 6) + _PASS_OVERHEAD
+    n times the nonzeros of fk below n, plus _PASS_OVERHEAD."""
+    return n * _nonzeros(k, n) + _PASS_OVERHEAD
 
 
 def _expansion_work(expr: EtaExpression, order: int) -> int:
@@ -407,7 +496,9 @@ def _expansion_work(expr: EtaExpression, order: int) -> int:
     through the order: the output, and per term c * q^s * prod fk^e the
     N - s coefficients it adds and |e| passes over fk through N - s.
     eval_eta's shared factors are chosen so that their passes, charged
-    the same way, never cost more, so this bounds what it spends."""
+    the same way, never cost more, and a pass that runs at a scale
+    d > 1 computes only ceil(n/d) coefficients, so this bounds what it
+    spends."""
     work = order  # the output list
     for term in expr.terms:
         n = order - term.q_shift
@@ -481,20 +572,25 @@ def eval_eta(expr: EtaExpression | str, order: int,
     (mod the modulus, if set) share the factors prod fk^g of
     _shared_factors.  Each such term's remaining factors fk^(e - g) are
     expanded through order N - s (N the requested order) by
-    _apply_factors, from the series 1, products first, the first
-    product being a copy of fk; the terms are summed, and the sum from
-    q^s0 on, s0 the lowest shift among them, is multiplied by the
-    shared factors once, through order N - s0.  Truncation mod q^N is a
-    ring homomorphism and every division is by fk's constant term 1, so
-    this is exact.  The shared factors are chosen so that the passes,
-    each charged by its length, cost no more than expanding each term
-    on its own, which _expansion_work charges; a single term runs
-    exactly those passes.  Both kernels work over the nonzero
-    coefficients of fk only, about 2*sqrt(2N/(3k)) of them, each +1 or
-    -1, so a pass costs about N * nnz(fk) integer additions and no
-    multiplications.  An expression whose output and passes would cost
-    more than _MAX_EXPANSION_WORK additions is refused with ValueError
-    before anything is allocated.
+    _apply_factors from the series 1, in the order of _plan_factors,
+    which keeps the gcd d of the scales applied so far as large as it
+    pays: the term is then F(q^d), and each pass multiplies or divides F
+    by f_(k/d) through ceil((N - s)/d), since truncation mod q^N
+    commutes with q -> q^d.  A term that ends at scale d is added into
+    the sum with stride d, at q^s, q^(s+d), ..., never spread to full
+    length.  The sum from q^s0 on, s0 the lowest shift among the terms,
+    is multiplied by the shared factors once, through order N - s0.
+    Truncation mod q^N is a ring homomorphism and every division is by
+    fk's constant term 1, so this is exact.  The shared factors are
+    chosen so that the passes, each charged by its whole length, cost
+    no more than expanding each term on its own, which _expansion_work
+    charges, and a pass at scale d runs through ceil(n/d) <= n
+    coefficients.  Both kernels work over the nonzero coefficients of
+    fk only, about 2*sqrt(2N/(3k)) of them, each +1 or -1, so a pass
+    costs about N * nnz(fk) integer additions and no multiplications.
+    An expression whose output and passes would cost more than
+    _MAX_EXPANSION_WORK additions is refused with ValueError before
+    anything is allocated.
 
     With `modulus` set, every pass reduces into 0..modulus-1.  Nothing
     is divided by anything but fk's constant term 1, so this holds for
@@ -522,13 +618,13 @@ def eval_eta(expr: EtaExpression | str, order: int,
         rest = dict(term.factors)
         for k, g in shared:
             rest[k] = rest.get(k, 0) - g
-        acc = _apply_factors(None, [(k, e) for k, e in rest.items() if e], order - s, m)
-        total[s:] = map(add, total[s:], [c * x for x in acc])
+        acc, d = _apply_factors(None, [(k, e) for k, e in rest.items() if e], order - s, m)
+        total[s::d] = map(add, total[s::d], [c * x for x in acc])
     if m is not None:
         total = [x % m for x in total]
     if shared:  # every term starts at q^s0 or later
         s0 = min(term.q_shift for term in terms)
-        total[s0:] = _apply_factors(total[s0:], shared, order - s0, m)
+        total[s0:], _ = _apply_factors(total[s0:], shared, order - s0, m)
     return TruncatedSeries(total)
 
 

@@ -10,6 +10,7 @@ from qpart.congruence import dissection_rhs
 from qpart.etaq import (
     _EULER,
     _PASS_OVERHEAD,
+    _PLAN_FROM,
     THETA_PRODUCT_FORM,
     EtaExpression,
     ThetaFamily,
@@ -181,14 +182,35 @@ def test_eval_modular_with_shifted_terms():
 
 
 def test_eval_starts_each_term_from_its_first_product(kernel_passes):
-    # products run first, and the first one, over the series 1, is a copy of f1
-    assert eval_eta("f1^2/f2^3", 50) == eval_eta("1/f2^3", 50) * pochhammer_f(1, 50) ** 2
-    assert [name for name, _ in kernel_passes[:4]] == ["mul", "div", "div", "div"]
+    # f2^2 runs first, through ceil(100/2) = 50, and its first product,
+    # over the series 1, is a copy of f1: one kernel call for two passes
+    assert eval_eta("f2^2/f1^3", 100) == pochhammer_f(2, 100) ** 2 * eval_eta("1/f1^3", 100)
+    assert kernel_passes[:4] == [("mul", 50), ("div", 100), ("div", 100), ("div", 100)]
 
 
 def test_eval_keeps_the_passes_of_a_single_term(kernel_passes):
-    eval_eta("f1^2/f2^3", 50)
-    assert kernel_passes == [("mul", 50), ("div", 50), ("div", 50), ("div", 50)]
+    # the divisions by f2 = f1(q^2) run through 50 on the term at
+    # q -> q^(1/2), which is spread once before the products by f1
+    assert eval_eta("f1^2/f2^3", 100) == pochhammer_f(1, 100) ** 2 * eval_eta("1/f2^3", 100)
+    kernel_passes.clear()
+    eval_eta("f1^2/f2^3", 100)
+    assert kernel_passes == [("div", 50)] * 3 + [("mul", 100)] * 2
+    # below _PLAN_FROM the products run first, the first a copy of f1
+    kernel_passes.clear()
+    eval_eta("f1^2/f2^3", _PLAN_FROM - 1)
+    assert kernel_passes == [("mul", _PLAN_FROM - 1)] + [("div", _PLAN_FROM - 1)] * 3
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 7, 14])
+@pytest.mark.parametrize("e", [-3, -1, 1, 4])
+def test_eval_runs_a_single_factor_through_the_order_over_its_scale(k, e, kernel_passes):
+    for n in (1, 2, 13, 50, 101):
+        kernel_passes.clear()
+        series = eval_eta(EtaExpression.single(1, 0, {k: e}), n)
+        # the first product is a copy; every other pass runs through ceil(n/k)
+        assert kernel_passes == [("div" if e < 0 else "mul", -(-n // k))] * (abs(e) - (e > 0))
+        base = TruncatedSeries(pochhammer_by_product(k, n))
+        assert series == (base ** e if e > 0 else base.inverse() ** -e)
 
 
 def test_eval_factors_shared_powers_out_of_the_dissection_sum(kernel_passes):
@@ -197,10 +219,12 @@ def test_eval_factors_shared_powers_out_of_the_dissection_sum(kernel_passes):
     for m in (None, 7, 11):
         kernel_passes.clear()
         total = eval_eta(expr, 100, modulus=m)
-        # each of the eight terms starts from a copy of fk, which is a
-        # pass too, but no kernel call: 195 passes, where expanding the
-        # terms one by one runs 416
-        assert len(expr.terms) + len(kernel_passes) <= 195
+        # the shared factors leave 190 kernel calls, where expanding the
+        # terms one by one makes 410; the terms' passes run at the scales
+        # their factors allow, 101,814 additions, where the same passes
+        # through each term's whole order take 147,834
+        assert len(kernel_passes) <= (0 if m == 7 else 190)
+        assert kernel_passes.work <= (0 if m == 7 else 101_814)
         alone = [eval_eta(EtaExpression((term,)), 100, modulus=m) for term in expr.terms]
         summed = TruncatedSeries([sum(c) for c in zip(*alone)])
         assert total == (summed if m is None else summed.reduce_mod(m))

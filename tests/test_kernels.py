@@ -72,6 +72,24 @@ def test_mul_from_start_against_oracle():
                 assert out == [0] * min(start, n) + full[start:]
 
 
+def test_mul_continued_near_the_order_matches_a_cold_product():
+    """A product continued from a start just below n, as the family
+    sweep continues a kept series by a few coefficients, equals the one
+    computed from 0, with b longer than n: a with +-1 terms only (f1)
+    and with scaled ones, a[0] = 1 or not."""
+    rng = random.Random(7)
+    for m in MODULI:
+        for n in (1, 2, 7, 40, 300):
+            b = [rng.randint(-99, 99) for _ in range(n + rng.randint(1, 9))]
+            f1 = pochhammer_by_product(1, n + 5)
+            scaled = [rng.choice([0, 1, -1, 3, -2]) for _ in range(n + 5)]
+            for a in (f1, scaled, [2] + scaled[1:]):
+                cold = _kernels_py.mul(a, b, n, m)
+                assert cold == _reduced(poly_mul(a, b, n), m)
+                for start in range(max(n - 5, 1), n + 1):
+                    assert _kernels_py.mul(a, b, n, m, start) == [0] * start + cold[start:]
+
+
 def test_div_continues_a_known_quotient():
     rng = random.Random(4)
     for m in MODULI:

@@ -8,7 +8,11 @@ colored families, with the partition counts, which are themselves
 compared with a knapsack count.  Sums of 2-5 terms with q-shifts up
 to 120 are compared with the same reference, and the passes `eval_eta`
 runs for them, charged by their lengths, with the charge of expanding
-each term on its own.  The family sweep, which steps
+each term on its own.  Expressions whose scales share divisors, so
+that a term's passes run at several scales, are compared with the
+same reference and reduced mod m; the work of the passes, counted
+from the kernels, with that charge; and the order in which a term's
+factors are planned with every order.  The family sweep, which steps
 from one color count to the next, is compared with `eval_eta` for every
 k it yields; random sequences of verifier calls, which share series
 through the sweep's memo, are compared with the same calls on an empty
@@ -23,10 +27,12 @@ inputs.
 import sys
 import threading
 from functools import lru_cache
+from itertools import permutations
+from math import gcd
 from unittest import mock
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from qpart import _kernels_py, congruence, etaq
@@ -84,8 +90,20 @@ shifted_expressions = st.lists(
               factors=st.dictionaries(scales, st.integers(-8, 8), max_size=3)),
     min_size=2, max_size=5).map(lambda ts: EtaExpression(tuple(ts)))
 
+# Scales that share divisors, so that a term's passes run at several
+# scales, with 1 mixed in, so that the last ones may run at scale 1;
+# up to five of them, one more than _plan_factors plans.
+divisor_expressions = st.lists(
+    st.sampled_from([(1, 2, 4, 6, 8, 12), (1, 3, 6, 9), (1, 7, 14)]).flatmap(
+        lambda ks: st.builds(EtaTerm.make, coefficient=st.integers(-9, 9),
+                             q_shift=st.integers(0, 12),
+                             factors=st.dictionaries(st.sampled_from(ks), st.integers(-5, 5),
+                                                     max_size=5))),
+    min_size=1, max_size=3).map(lambda ts: EtaExpression(tuple(ts)))
+
 SCALE_PAST_ORDER = EtaExpression.single(-2, 0, {1: 2, 6: -3})
 SHIFT_PAST_ORDER = EtaExpression((EtaTerm.make(3, 5, {1: -6}), EtaTerm.make(1, 1, {2: 1})))
+MIXED_SCALES = parse_eta("3*q^5*f4^3*f6/f2^2 - f3^4/f9 + f7^2*f14")
 
 
 @lru_cache(maxsize=None)
@@ -153,6 +171,53 @@ def test_shared_factors_cost_no_more_than_single_terms(expr, order):
 @example(expr=SHIFT_PAST_ORDER, order=5, m=7)
 def test_modular_lane_matches_reduced_exact(expr, order, m):
     assert eval_eta(expr, order, modulus=m) == eval_eta(expr, order).reduce_mod(m)
+
+
+@checked
+@given(expr=divisor_expressions, order=orders, m=st.sampled_from(MODULI))
+@example(expr=MIXED_SCALES, order=1, m=7)
+@example(expr=MIXED_SCALES, order=2, m=2)
+@example(expr=MIXED_SCALES, order=MAX_ORDER - 1, m=13)
+def test_planned_passes_match_dense_reference(expr, order, m):
+    exact = eval_eta(expr, order)
+    assert list(exact) == dense_reference(expr, order)
+    assert eval_eta(expr, order, modulus=m) == exact.reduce_mod(m)
+
+
+@settings(checked, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(expr=st.one_of(divisor_expressions, shifted_expressions), order=orders)
+def test_planned_passes_cost_no_more_than_the_charge(expr, order, kernel_passes):
+    kernel_passes.clear()
+    eval_eta(expr, order)
+    assert kernel_passes.work <= etaq._expansion_work(expr, order)
+
+
+@checked
+@given(factors=st.dictionaries(st.sampled_from((1, 2, 3, 4, 6, 7, 8, 12, 14)),
+                               st.integers(-6, 6).filter(bool), min_size=1, max_size=4),
+       order=st.integers(1, MAX_ORDER))
+@example(factors={1: 2, 2: -3}, order=50)
+@example(factors={1: -20, 2: 8, 7: -7, 14: 18}, order=MAX_ORDER)
+def test_plan_is_the_cheapest_order(factors, order):
+    """_plan_factors returns the factors in an order of least planned
+    work, found here by trying every order: per factor |e| passes, each
+    charged ceil(N/g) times the nonzeros of fk below N plus the fixed
+    charge of a pass, g the gcd of the scales applied so far, and no
+    charge for the first pass of a first factor with e > 0, a copy."""
+    def work(order_of_factors):
+        total, g = 0, 0
+        for i, (k, e) in enumerate(order_of_factors):
+            g = gcd(g, k)
+            nonzeros = sum(1 for x in _pochhammer(k)[:order] if x)
+            passes = abs(e) - (i == 0 and e > 0)
+            total += passes * (-(-order // g) * nonzeros + etaq._PASS_OVERHEAD)
+        return total
+
+    factors = sorted(factors.items())
+    with mock.patch.object(etaq, "_PLAN_FROM", 1):  # planned at every order
+        plan = etaq._plan_factors(factors, order)
+    assert sorted(plan) == factors
+    assert work(plan) == min(map(work, permutations(factors)))
 
 
 @checked
