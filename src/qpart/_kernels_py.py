@@ -138,7 +138,7 @@ def mul(a, b, n, m=None, start=0, bits=None):
     return out
 
 
-# A divisor with fewer nonzero terms than this below the order is run
+# A divisor with fewer terms +1 or -1 than this below the order is run
 # by _div_few, and one with more by the interleaved loop of div.
 _FEW_TERMS = 20
 
@@ -183,12 +183,16 @@ def div(a, b, n, m=None, known=(), inverse=None, scale=1, bits=None):
     with m set.  A known prefix is taken as it is, and placed, with its
     negation, by two slice assignments.
 
-    A divisor with fewer than _FEW_TERMS = 20 nonzero terms below n
+    A divisor with fewer than _FEW_TERMS = 20 terms +1 or -1 below n
     runs _div_few instead, a Python loop over the terms per t: there
     the itemgetter call, the sum and the second append cost more than
-    the loop they replace.  Measured with Python 3.11.7 on a 2-core
-    x86-64 host, best of 15, dividing 1/f1 and 1/f1^3 by fk at orders
-    60 to 2107: with 8 to 19 terms the interleaved loop took 0.64-1.19x
+    the loop they replace.  Its other terms do not count: each costs a
+    multiplication in either loop, and the C-level sum over the
+    weighted terms saves less than the interleaved loop spends, so a
+    weighted divisor such as fk^3 runs _div_few at any length.
+    Measured with Python 3.11.7 on a 2-core x86-64 host, best of 15,
+    dividing 1/f1 and 1/f1^3 by fk at orders 60 to 2107: with 8 to 19
+    terms the interleaved loop took 0.64-1.19x
     the time of _div_few, over 1 at orders up to 100 and with large
     coefficients; with 20 to 42 terms it took 0.46-1.03x, and in the
     modular lane 0.46-0.86x.
@@ -211,7 +215,7 @@ def _divide(a, b, n, m, known):
     interleaved loop."""
     b0 = b[0]
     exponents = [*compress(range(1, n), islice(b, 1, n))]
-    if len(exponents) < _FEW_TERMS:
+    if len(exponents) < _FEW_TERMS or _units(b, exponents) < _FEW_TERMS:
         return _div_few(a, b, n, m, known, exponents)
     p = min(len(known), n)
     out = [0] * (2 * p)
@@ -255,6 +259,12 @@ def _divide(a, b, n, m, known):
                 weights.append(-bj)
         lo = hi
     return out[::2]
+
+
+def _units(b, exponents):
+    """The number of terms +1 or -1 of b at the exponents."""
+    terms = _getter(exponents)(b)
+    return terms.count(1) + terms.count(-1)
 
 
 def _slot_bytes(terms, n, m):

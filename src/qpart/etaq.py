@@ -23,7 +23,7 @@ from math import gcd, isqrt
 from operator import add
 
 from . import _kernels_py as kernels
-from .series import TruncatedSeries, _int_value, _modulus_value, _Record
+from .series import TruncatedSeries, _int_value, _Memo, _modulus_value, _Record
 
 
 class EtaSyntaxError(ValueError):
@@ -378,25 +378,30 @@ def _apply_factors(acc: Sequence[int] | None, factors, n: int,
     (coeffs, g), the result being coeffs at q -> q^g: its coefficient
     g*i is coeffs[i] for i < ceil(n/g), and every other one is 0.
 
-    Each factor costs |e| passes over fk, a product kernels.mul(fk, acc)
-    or a quotient kernels.div(acc, fk), the recurrence.  Given acc, g is
-    1 and every pass runs through n, the products first.
+    A factor fk^e costs |e| passes over fk, each a product
+    kernels.mul(fk, acc) or a quotient kernels.div(acc, fk), the
+    recurrence.  A factor that its plan folds costs |e|//3 passes over
+    the cube fk^3 (_cube_coeffs) and then |e|%3 passes over fk, since
+    fk^e = (fk^3)^(e//3) * fk^(e%3) for either sign of e; the same
+    kernels run them.  Given acc, g is 1, every pass runs through n and
+    the products run first, each factor folded where _fold_factors
+    prices that lower.
 
     From the series 1 the factors run in the order of _plan_factors.
     While the scales applied so far have gcd g, the running series is
-    F(q^g), and fk is f_(k/g)(q^g); truncation mod q^n commutes with
-    q -> q^g, so each pass multiplies or divides F by f_(k/g) through
-    ceil(n/g), and the result is exact.  The first pass of the first
-    factor is a copy of f1 through ceil(n/k) where its e > 0, a quotient
-    of the series 1 otherwise; where the gcd falls from g to g', F is
-    spread to q -> q^(g/g') once.  With no factors the result is the
-    series 1, ([1], n).
+    F(q^g), and fk and its cube are f_(k/g) and f_(k/g)^3 at q^g;
+    truncation mod q^n commutes with q -> q^g, so each pass multiplies
+    or divides F by f_(k/g) or its cube through ceil(n/g), and the
+    result is exact.  The first pass of the first factor is a copy of
+    its operand where its e > 0, a quotient of the series 1 otherwise;
+    where the gcd falls from g to g', F is spread to q -> q^(g/g')
+    once.  With no factors the result is the series 1, ([1], n).
     """
     if acc is None:
-        g, factors = 0, _plan_factors(factors, n)  # gcd(0, k) = k
+        g, plan = 0, _plan_factors(factors, n, m)  # gcd(0, k) = k
     else:
-        g, factors = 1, sorted(factors, key=lambda f: f[1] < 0)
-    for k, e in factors:
+        g, plan = 1, _fold_factors(sorted(factors, key=lambda f: f[1] < 0), n, m, False)
+    for k, e, fold in plan:
         step = gcd(g, k)
         length = -(-n // step)
         if step < g:
@@ -404,14 +409,18 @@ def _apply_factors(acc: Sequence[int] | None, factors, n: int,
             spread[:: g // step] = acc
             acc = spread
         g = step
-        fk = _pochhammer_coeffs(k // g, length)
-        for _ in range(abs(e)):
-            if e < 0:
-                acc = kernels.div((1,) if acc is None else acc, fk, length, m)
-            elif acc is not None:
-                acc = kernels.mul(fk, acc, length, m)
-            else:
-                acc = list(fk) if m is None else [x % m for x in fk]
+        cubes = abs(e) // 3 if fold else 0
+        for operand, count in ((_cube_coeffs, cubes), (_pochhammer_coeffs, abs(e) - 3 * cubes)):
+            if not count:
+                continue
+            base = operand(k // g, length)
+            for _ in range(count):
+                if e < 0:
+                    acc = kernels.div((1,) if acc is None else acc, base, length, m)
+                elif acc is not None:
+                    acc = kernels.mul(base, acc, length, m)
+                else:
+                    acc = list(base) if m is None else [x % m for x in base]
     return ([1], n) if acc is None else (acc, g)
 
 
@@ -424,56 +433,131 @@ def _apply_factors(acc: Sequence[int] | None, factors, n: int,
 _PLAN_MAX = 4
 _PLAN_FROM = 64
 
+# The plan prices a pass in eighths of an addition: per coefficient it
+# computes and nonzero term of its operand, _UNIT for a slice add or a
+# recurrence term by +1 or -1, _WEIGHTED for one by another weight,
+# which multiplies; per coefficient, whatever the operand, _PACKED for
+# a product in the modular lane that packs, whose shifted big-int adds
+# cost less than its packing and unpacking.  A cold build of the cube,
+# whose two packed products and list passes cost about the same per
+# coefficient at every length, is priced _BUILD per coefficient plus
+# _BUILD_FIXED.  Every pass adds _PASS_OVERHEAD additions.  The ratios
+# are measured (see CHANGES.md).
+_UNIT = 8
+_WEIGHTED = 16
+_PACKED = 64
+_BUILD = 160
+_BUILD_FIXED = 3200
 
-def _plan_factors(factors, n: int):
-    """The factors (k, e) of a term in the order in which _apply_factors
-    expands them from the series 1 with the least planned work: per
-    factor |e| passes, each charged ceil(n/g) * nnz(fk below n) plus
-    _PASS_OVERHEAD, g the gcd of the scales applied up to and including
-    k, less one pass of the first factor where its e > 0, that pass
-    being a copy.  g depends only on the set of factors applied, and so
-    does the charge of the last one, so a cheapest order through a set
-    is a cheapest order through the set less some factor, then that
-    factor: a dynamic program over the subsets, s * 2^(s-1) steps for
-    s factors, where the s! orders would take s * s! steps.  With one
+
+def _plan_factors(factors, n: int, m: int | None):
+    """The factors (k, e) of a term as (k, e, fold), in the order in
+    which _apply_factors expands them from the series 1, fold telling
+    whether fk^e runs by cube passes, at the least price: per factor
+    _factor_price through ceil(n/g), g the gcd of the scales applied up
+    to and including k, the first factor's first pass being a copy
+    where its e > 0.  g depends only on the set of factors applied, and
+    so does the price of the last one, so a cheapest plan through a set
+    is a cheapest plan through the set less some factor, then that
+    factor: a dynamic program over the subsets, s * 2^(s-1) steps for s
+    factors, where the s! orders would take s * s! steps.  With one
     factor, more than _PLAN_MAX or n below _PLAN_FROM, the products run
-    first, as on a given acc; the passes still run at the running gcd."""
+    first, as on a given acc (_fold_factors); the passes still run at
+    the running gcd."""
     size = len(factors)
     if size < 2 or size > _PLAN_MAX or n < _PLAN_FROM:
-        return sorted(factors, key=lambda f: f[1] < 0)
+        return _fold_factors(sorted(factors, key=lambda f: f[1] < 0), n, m, True)
+    terms = [_factor_terms(k, e, n, m) for k, e in factors]
     full = 1 << size
     members = range(size)
     bits = [1 << i for i in members]
-    passes = [abs(e) for _, e in factors]
-    nonzeros = [_nonzeros(k, n) for k, _ in factors]
     scale = [0] * full  # the gcd of the scales in a subset
-    cost = [0] * full  # the least work through a subset
-    last = [0] * full  # the factor that a cheapest order through it ends with
-    for i, (k, e) in enumerate(factors):
-        scale[bits[i]] = k
-        cost[bits[i]] = (passes[i] - (e > 0)) * (-(-n // k) * nonzeros[i] + _PASS_OVERHEAD)
-        last[bits[i]] = i
-    for subset in range(3, full):
+    cost = [0] * full  # the least price through a subset
+    last = [(0, False)] * full  # the factor a cheapest plan through it ends with, and its fold
+    for subset in range(1, full):
         low = subset & -subset
-        if low == subset:
-            continue
-        g = scale[subset] = gcd(scale[subset ^ low], scale[low])
+        g = scale[subset] = gcd(scale[subset ^ low], factors[low.bit_length() - 1][0])
         length = -(-n // g)
         best = None
         for i in members:
             if subset & bits[i]:
-                c = cost[subset ^ bits[i]] + passes[i] * (length * nonzeros[i] + _PASS_OVERHEAD)
+                rest = subset ^ bits[i]
+                c, fold = _factor_price(terms[i], length, not rest)
+                c += cost[rest]
                 if best is None or c < best:
                     best = c
-                    last[subset] = i
+                    last[subset] = (i, fold)
         cost[subset] = best
-    order = []
+    plan = []
     subset = full - 1
     while subset:
-        i = last[subset]
-        order.append(factors[i])
+        i, fold = last[subset]
+        plan.append((*factors[i], fold))
         subset ^= bits[i]
-    return order[::-1]
+    return plan[::-1]
+
+
+def _fold_factors(factors, n: int, m: int | None, from_one: bool):
+    """The factors (k, e), run in this order, as (k, e, fold), each
+    folded where _factor_price prices that lower at the length it runs
+    through: ceil(n/g), g the running gcd of the scales from the series
+    1 (from_one), else n."""
+    plan = []
+    g = 0 if from_one else 1
+    for k, e in factors:
+        g = gcd(g, k)
+        fold = abs(e) >= 3 and _factor_price(_factor_terms(k, e, n, m), -(-n // g),
+                                              from_one and not plan)[1]
+        plan.append((k, e, fold))
+    return plan
+
+
+def _factor_terms(k: int, e: int, n: int, m: int | None):
+    """What _factor_price needs of fk^e below order n: (k, e, the price
+    per coefficient of a pass over fk, that of one over fk^3, build).
+    A price per coefficient is a pair, below _PACK_FROM and from it on
+    (_rates).  build is the price of building f1^3 through ceil(n/k),
+    the length that fk^3 needs, 0 where the kept cube reaches it."""
+    units = _nonzeros(k, n)
+    if -3 < e < 3:
+        return k, e, _rates(units, units, False, e > 0, m), None, 0
+    c = -(-n // k)
+    build = 0 if len(_CUBES.get(_CUBE) or ()) >= c else c * _BUILD + _BUILD_FIXED
+    cubes = _cube_nonzeros(k, n)
+    return (k, e, _rates(units, units, False, e > 0, m),
+            _rates(cubes, cubes * cubes, True, e > 0, m), build)
+
+
+def _rates(terms: int, weights: int, weighted: bool, product: bool, m: int | None):
+    """The price per coefficient of a pass over an operand with `terms`
+    nonzero terms below the order, fk's +1 or -1 or the cube's weighted,
+    whose |weights| add up to at most `weights`: terms * _UNIT or
+    _WEIGHTED, and as the second of the pair, from _PACK_FROM on,
+    _PACKED for a product in the modular lane that packs as shifted
+    adds, its slot bound 2 * (m-1) * weights below 2^64."""
+    loop = terms * (_WEIGHTED if weighted else _UNIT)
+    packs = product and m is not None and 2 * weights * (m - 1) < 1 << 64
+    return loop, _PACKED if packs else loop
+
+
+def _factor_price(terms, length: int, first: bool) -> tuple[int, bool]:
+    """(price, fold): the lower price of fk^e's passes through `length`,
+    with terms from _factor_terms, and whether that is by cube passes.
+    Plain, fk^e is |e| passes over fk; folded, it is the cube's build
+    where it is not kept, |e|//3 passes over fk^3, and |e|%3 over fk.
+    Where `first` and e > 0, the first pass is a copy, priced 0.  A pass
+    is priced length times its price per coefficient, plus
+    _PASS_OVERHEAD."""
+    k, e, units, cubes, build = terms
+    packed = length >= kernels._PACK_FROM
+    passes, copy = abs(e), first and e > 0
+    single = length * units[packed] + 8 * _PASS_OVERHEAD
+    plain = (passes - copy) * single
+    if passes < 3:
+        return plain, False
+    folded = (build + (passes // 3 - copy) * (length * cubes[packed] + 8 * _PASS_OVERHEAD)
+              + passes % 3 * single)
+    return (folded, True) if folded < plain else (plain, False)
 
 
 def _nonzeros(k: int, n: int) -> int:
@@ -483,6 +567,14 @@ def _nonzeros(k: int, n: int) -> int:
     for j > 0 and -6j + 1 <= s for j < 0, where s = isqrt(1 + 24X)."""
     s = isqrt(1 + 24 * ((n - 1) // k))
     return 1 + (1 + s) // 6 + (s - 1) // 6
+
+
+def _cube_nonzeros(k: int, n: int) -> int:
+    """The nonzero coefficients of fk^3 below order n: built from Euler's
+    sum, fk^3 has one term q^(k*j(j+1)/2) per integer j >= 0 (Jacobi),
+    so those with j(j+1)/2 <= X = (n-1)//k, that is 2j + 1 <= isqrt(1 + 8X).
+    The plan's prices read this count; no coefficient is read from it."""
+    return (isqrt(1 + 8 * ((n - 1) // k)) + 1) // 2
 
 
 def _pass_work(k: int, n: int) -> int:
@@ -498,7 +590,13 @@ def _expansion_work(expr: EtaExpression, order: int) -> int:
     eval_eta's shared factors are chosen so that their passes, charged
     the same way, never cost more, and a pass that runs at a scale
     d > 1 computes only ceil(n/d) coefficients, so this bounds what it
-    spends."""
+    spends.  A folded factor spends no more than its |e| passes over fk
+    either: fk^3 has no more nonzeros below n than fk (one per
+    triangular number against one per pentagonal number, of which there
+    are more below every bound), each multiplying or adding once, so
+    each of its |e|//3 >= 1 passes over fk^3 costs at most one over fk;
+    and a cold build of the cube, two products by f1 through ceil(n/k),
+    whose nonzeros are those of fk below n, costs at most two."""
     work = order  # the output list
     for term in expr.terms:
         n = order - term.q_shift
@@ -521,6 +619,53 @@ def _pochhammer_coeffs(k: int, order: int) -> tuple[int, ...]:
     """Coefficients of fk below the order, O(sqrt(order/k)) of them nonzero.
     Not cached: building fk costs far less than one pass over it."""
     return tuple(_closed_form(_CLOSED_FORMS[_EULER], order, k))
+
+
+# The longest f1^3 built, kept under one key and charged one unit per
+# coefficient: 2^18 coefficients, about 2 MiB of references.
+_CUBES = _Memo(2**18)
+_CUBE = "f1^3"
+
+
+def _cube_coeffs(k: int, order: int) -> list[int] | tuple[int, ...]:
+    """Coefficients of fk^3 below the order: f1^3 through ceil(order/k)
+    at q -> q^k.  The longest f1^3 built is kept (_CUBES) and sliced for
+    a shorter request; a longer one builds it anew (_build_cube)."""
+    c = -(-order // k)
+    cube = _CUBES.get(_CUBE)
+    if cube is None or len(cube) < c:
+        cube = _build_cube(c)
+        _CUBES.store(_CUBE, cube, c, c)
+    if k == 1:
+        return cube[:order]
+    out = [0] * order
+    out[::k] = cube[:c]
+    return out
+
+
+def _build_cube(n: int) -> tuple[int, ...]:
+    """f1^3 below n, from Euler's sum for f1 alone, by two products:
+    f1 * f1, then f1 * f1^2.  Each runs packed as an exact product
+    (_exact_product), its bound read from its operands: a coefficient of
+    f1^2 adds at most nnz(f1) products of two coefficients +1 or -1, so
+    |f1^2| <= nnz(f1), and one of f1^3 at most nnz(f1) coefficients of
+    f1^2 times +1 or -1, so |f1^3| <= nnz(f1) * max |f1^2|.  Neither
+    bound comes from an identity for f1^3, and Jacobi's closed form is
+    never read: eval_eta stays a check of it (replay_proof's
+    theta-substitution step)."""
+    f1 = _pochhammer_coeffs(1, n)
+    nonzeros = n - f1.count(0)
+    square = _exact_product(f1, f1, n, nonzeros)
+    return tuple(_exact_product(f1, square, n, nonzeros * max(map(abs, square))))
+
+
+def _exact_product(a, b, n: int, bound: int) -> list[int]:
+    """a * b below n, for a bound B on the absolute value of each of its
+    coefficients: kernels.mul mod M = 2B + 1, which packs where it can,
+    each residue then read back as its representative of least absolute
+    value, which is the coefficient, since that lies in -B..B."""
+    m = 2 * bound + 1
+    return [x - m if 2 * x > m else x for x in kernels.mul(a, b, n, m)]
 
 
 def pochhammer_f(k: int, order: int) -> TruncatedSeries:
@@ -576,19 +721,29 @@ def eval_eta(expr: EtaExpression | str, order: int,
     which keeps the gcd d of the scales applied so far as large as it
     pays: the term is then F(q^d), and each pass multiplies or divides F
     by f_(k/d) through ceil((N - s)/d), since truncation mod q^N
-    commutes with q -> q^d.  A term that ends at scale d is added into
-    the sum with stride d, at q^s, q^(s+d), ..., never spread to full
-    length.  The sum from q^s0 on, s0 the lowest shift among the terms,
-    is multiplied by the shared factors once, through order N - s0.
-    Truncation mod q^N is a ring homomorphism and every division is by
-    fk's constant term 1, so this is exact.  The shared factors are
-    chosen so that the passes, each charged by its whole length, cost
-    no more than expanding each term on its own, which _expansion_work
-    charges, and a pass at scale d runs through ceil(n/d) <= n
-    coefficients.  Both kernels work over the nonzero coefficients of
-    fk only, about 2*sqrt(2N/(3k)) of them, each +1 or -1, so a pass
-    costs about N * nnz(fk) integer additions and no multiplications.
-    An expression whose output and passes would cost more than
+    commutes with q -> q^d.  Where the plan prices it lower, a factor
+    fk^e runs as |e|//3 passes over the cube fk^3 and |e|%3 over fk:
+    fk^3 has about sqrt(2N/k) nonzeros below N, fewer than fk, so one
+    pass over it replaces three over fk.  The cube is f1^3 at q -> q^k,
+    built from Euler's sum for f1 by two products and kept for the life
+    of the process (_cube_coeffs); eval_eta reads no closed form but
+    Euler's, so that it stays a check of the theta series, among them
+    Jacobi's f1^3, which replay_proof compares with it.  A term that
+    ends at scale d is added into the sum with stride d, at q^s,
+    q^(s+d), ..., never spread to full length.  The sum from q^s0 on,
+    s0 the lowest shift among the terms, is multiplied by the shared
+    factors once, through order N - s0.  Truncation mod q^N is a ring
+    homomorphism and every division is by fk's constant term 1, so this
+    is exact.  The shared factors are chosen so that the passes, each
+    charged by its whole length, cost no more than expanding each term
+    on its own, which _expansion_work charges, and a pass at scale d
+    runs through ceil(n/d) <= n coefficients; a folded factor, its
+    build included, spends no more than its passes over fk (see
+    _expansion_work).  Both kernels work over the nonzero coefficients
+    of fk only, about 2*sqrt(2N/(3k)) of them, each +1 or -1, so a pass
+    costs about N * nnz(fk) integer additions and no multiplications; a
+    pass over fk^3 costs one multiplication by a small weight per
+    nonzero coefficient too.  An expression whose output and passes would cost more than
     _MAX_EXPANSION_WORK additions is refused with ValueError before
     anything is allocated.
 
@@ -599,7 +754,10 @@ def eval_eta(expr: EtaExpression | str, order: int,
     products run packed into one big-int product each where they can
     (see qpart._kernels_py), while the divisions stay the sequential
     recurrence, so that eval_eta stays an independent check of the
-    family sweep, whose divisions by f2 are packed products too.
+    family sweep, whose divisions by f2 are packed products too.  The
+    plan prices a packed product below a recurrence pass, so in this
+    lane it may order a term's factors otherwise than in the exact one;
+    the cube is the exact f1^3 in either lane.
     """
     if isinstance(expr, str):
         expr = parse_eta(expr)
@@ -612,14 +770,16 @@ def eval_eta(expr: EtaExpression | str, order: int,
              and (term.coefficient if m is None else term.coefficient % m)]
     shared = _shared_factors(terms, order)
     total = [0] * order
-    for term in terms:
+    for i, term in enumerate(terms):
         s = term.q_shift
         c = term.coefficient if m is None else term.coefficient % m
         rest = dict(term.factors)
         for k, g in shared:
             rest[k] = rest.get(k, 0) - g
         acc, d = _apply_factors(None, [(k, e) for k, e in rest.items() if e], order - s, m)
-        total[s::d] = map(add, total[s::d], [c * x for x in acc])
+        if c != 1:
+            acc = [c * x for x in acc]
+        total[s::d] = map(add, total[s::d], acc) if i else acc  # the first term is placed
     if m is not None:
         total = [x % m for x in total]
     if shared:  # every term starts at q^s0 or later

@@ -298,23 +298,43 @@ def test_replay_proof_families(k, target, sumset):
         "frobenius-rewrite", "theta-substitution", "residue-exclusion"]
 
 
+# Per built-in row, with the cube kept through 300: the kernel passes
+# (name, length) of the numerator f_2s^(k-1) * f_s^(7-k), of the
+# Frobenius check f_s^7 == f_7s (mod 7), whose f_s^7 is a copy of
+# f_s^3, one product by it and one by f_s, each through ceil(300/s),
+# and of the product of the two theta components through 300.
+_REPLAY_PASSES = {
+    # f1^6: a copy of the cube and one product by it
+    1: ([("mul", 300)], [("mul", 300)] * 2),
+    # f4^2 * f2^4 through 150 at q^2: a copy of f1^3, a product by f1,
+    # two by f2
+    3: ([("mul", 150)] * 3, [("mul", 150)] * 2),
+    # f2^3 * f1^3: a copy of the cube, one product by f2^3
+    4: ([("mul", 300)], [("mul", 300)] * 2),
+    # f2^4 * f1^2: a copy of the cube and a product by f1 through 150,
+    # then two products by f1 through 300
+    5: ([("mul", 150), ("mul", 300), ("mul", 300)], [("mul", 300)] * 2),
+    # f2^6 through 150 at q^2: a copy of the cube and one product by it
+    7: ([("mul", 150)], [("mul", 300)] * 2),
+}
+
+
 @pytest.mark.parametrize("k", [1, 3, 4, 5, 7])
 def test_replay_proof_divides_the_numerator_once(k, kernel_passes):
-    # a_k is kept, so the replay's sweep makes no pass; beyond the
-    # Frobenius check, the numerator f_2s^(k-1) * f_s^(7-k) costs a copy
-    # of its first factor and five products, the product of the two theta
-    # components one more, and the rewrite one division
+    # a_k is kept, so the replay's sweep makes no pass; the cube is kept
+    # by a first Frobenius check, whose build is its first two passes
     scale = congruence._RECIPES[k][0]
+    numerator, frobenius = _REPLAY_PASSES[k]
     list(congruence._family_sweep(Family.ODD_COLORED, [k], 300))
     kernel_passes.clear()
     verify_frobenius(scale, 1, 7, 300)
-    frobenius = [name for name, _ in kernel_passes]
+    assert kernel_passes == [("mul", 300 // scale)] * 2 + frobenius
     congruence._frobenius_verdict.cache_clear()  # so that the replay runs the check
     kernel_passes.clear()
     replay_proof(k, 300)
-    replay = [name for name, _ in kernel_passes]
-    assert replay.count("mul") == frobenius.count("mul") + 6
-    assert replay.count("div") == frobenius.count("div") + 1
+    # the numerator, the rewrite's one division by f_7s, the check, and
+    # the product of the theta components
+    assert kernel_passes == numerator + [("div", 300)] + frobenius + [("mul", 300)]
 
 
 @pytest.mark.parametrize("k", [1, 3, 4, 5, 7])
@@ -322,9 +342,9 @@ def test_second_replay_reuses_the_frobenius_verdict(k, kernel_passes):
     first = replay_proof(k, 300)
     kernel_passes.clear()
     assert replay_proof(k, 300) == first
-    # the numerator, the theta product and the rewrite: no Frobenius pass
-    replay = [name for name, _ in kernel_passes]
-    assert (replay.count("mul"), replay.count("div")) == (6, 1)
+    # the numerator, the rewrite and the theta product: no Frobenius pass
+    numerator, _ = _REPLAY_PASSES[k]
+    assert kernel_passes == numerator + [("div", 300), ("mul", 300)]
 
 
 def test_frobenius_verdict_is_read_after_the_arguments_are_checked():

@@ -6,6 +6,7 @@ from itertools import accumulate
 
 import pytest
 
+from qpart import _kernels_py, etaq
 from qpart.congruence import dissection_rhs
 from qpart.etaq import (
     _EULER,
@@ -14,6 +15,8 @@ from qpart.etaq import (
     THETA_PRODUCT_FORM,
     EtaExpression,
     ThetaFamily,
+    _build_cube,
+    _cube_coeffs,
     _pass_work,
     _pochhammer_coeffs,
     eval_eta,
@@ -185,13 +188,24 @@ def test_eval_starts_each_term_from_its_first_product(kernel_passes):
     # f2^2 runs first, through ceil(100/2) = 50, and its first product,
     # over the series 1, is a copy of f1: one kernel call for two passes
     assert eval_eta("f2^2/f1^3", 100) == pochhammer_f(2, 100) ** 2 * eval_eta("1/f1^3", 100)
-    assert kernel_passes[:4] == [("mul", 50), ("div", 100), ("div", 100), ("div", 100)]
+    kernel_passes.clear()
+    etaq._CUBES.clear()
+    eval_eta("f2^2/f1^3", 100)
+    # with no cube kept, building one costs more than the two divisions
+    # by f1 it would save at this order
+    assert kernel_passes == [("mul", 50), ("div", 100), ("div", 100), ("div", 100)]
+    _cube_coeffs(1, 100)
+    kernel_passes.clear()
+    eval_eta("f2^2/f1^3", 100)
+    # with it kept, f1^-3 is one division by the cube
+    assert kernel_passes == [("mul", 50), ("div", 100)]
 
 
 def test_eval_keeps_the_passes_of_a_single_term(kernel_passes):
     # the divisions by f2 = f1(q^2) run through 50 on the term at
     # q -> q^(1/2), which is spread once before the products by f1
     assert eval_eta("f1^2/f2^3", 100) == pochhammer_f(1, 100) ** 2 * eval_eta("1/f2^3", 100)
+    etaq._CUBES.clear()
     kernel_passes.clear()
     eval_eta("f1^2/f2^3", 100)
     assert kernel_passes == [("div", 50)] * 3 + [("mul", 100)] * 2
@@ -199,18 +213,37 @@ def test_eval_keeps_the_passes_of_a_single_term(kernel_passes):
     kernel_passes.clear()
     eval_eta("f1^2/f2^3", _PLAN_FROM - 1)
     assert kernel_passes == [("mul", _PLAN_FROM - 1)] + [("div", _PLAN_FROM - 1)] * 3
+    # with the cube kept, f2^-3 is one division by f2^3, priced below
+    # three by f2 at half the length: the products then run first
+    _cube_coeffs(1, 100)
+    for n in (_PLAN_FROM - 1, 100):
+        kernel_passes.clear()
+        eval_eta("f1^2/f2^3", n)
+        assert kernel_passes == [("mul", n), ("div", n)]
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 7, 14])
 @pytest.mark.parametrize("e", [-3, -1, 1, 4])
 def test_eval_runs_a_single_factor_through_the_order_over_its_scale(k, e, kernel_passes):
     for n in (1, 2, 13, 50, 101):
-        kernel_passes.clear()
-        series = eval_eta(EtaExpression.single(1, 0, {k: e}), n)
-        # the first product is a copy; every other pass runs through ceil(n/k)
-        assert kernel_passes == [("div" if e < 0 else "mul", -(-n // k))] * (abs(e) - (e > 0))
         base = TruncatedSeries(pochhammer_by_product(k, n))
-        assert series == (base ** e if e > 0 else base.inverse() ** -e)
+        expected = base ** e if e > 0 else base.inverse() ** -e
+        etaq._CUBES.clear()
+        kernel_passes.clear()
+        assert eval_eta(EtaExpression.single(1, 0, {k: e}), n) == expected
+        # the first product is a copy; every other pass runs through
+        # ceil(n/k).  With no cube kept, building one pays only for f1^4
+        # at n = 101, whose two products of the build, f1 * f1 and
+        # f1 * f1^2 through 101, and its one pass after the copy of the
+        # cube are three products by f1 through 101, as unfolded
+        assert kernel_passes == [("div" if e < 0 else "mul", -(-n // k))] * (abs(e) - (e > 0))
+        # with the cube kept, f_k^-3 is one division by it and f_k^4 a
+        # copy of it and one product by fk
+        _cube_coeffs(1, n)
+        kernel_passes.clear()
+        assert eval_eta(EtaExpression.single(1, 0, {k: e}), n) == expected
+        passes = {-3: 1, -1: 1, 1: 0, 4: 1}[e]
+        assert kernel_passes == [("div" if e < 0 else "mul", -(-n // k))] * passes
 
 
 def test_eval_factors_shared_powers_out_of_the_dissection_sum(kernel_passes):
@@ -233,16 +266,62 @@ def test_eval_factors_shared_powers_out_of_the_dissection_sum(kernel_passes):
 def test_eval_shares_factors_of_shifted_terms_from_their_lowest_shift(kernel_passes):
     alone = eval_eta("q^95/f1^40", 100)
     kernel_passes.clear()
-    # f1^-40 is shared, and applied once from q^95 on: 40 passes of 5
-    # coefficients, where each term on its own runs 40 of them
+    # f1^-40 is shared, and applied once from q^95 on through the cube
+    # built for `alone`: 13 divisions by f1^3 and one by f1, of 5
+    # coefficients each, where each term on its own runs 14 of them
     assert eval_eta("q^95/f1^40 + 2*q^95/f1^40", 100) == 3 * alone
-    assert kernel_passes == [("div", 5)] * 40
+    assert kernel_passes == [("div", 5)] * 14
     expected = eval_eta("1/f1", 100) + 6 * eval_eta("q^90/f1^20", 100)
+    etaq._CUBES.clear()
     kernel_passes.clear()
     # the long term and the shared factor, each charged passes through
-    # 100, outweigh the three short terms: only f1^-1 is shared
+    # 100, outweigh the three short terms: only f1^-1 is shared.  Each
+    # short term's f1^-19 is six divisions by the cube and one by f1
+    # through 10, the first of them after the cube's build, two
+    # products through 10
     assert eval_eta("1/f1 + q^90/f1^20 + 2*q^90/f1^20 + 3*q^90/f1^20", 100) == expected
-    assert sorted(kernel_passes) == [("div", 10)] * 57 + [("div", 100)]
+    assert sorted(kernel_passes) == [("div", 10)] * 21 + [("div", 100)] + [("mul", 10)] * 2
+
+
+@pytest.mark.parametrize("n", [1, 2, 31, 32, 33, 7000])
+def test_cube_build_is_f1_times_f1_squared(n):
+    # below and past the order from which the build's products pack
+    f1 = _pochhammer_coeffs(1, n)
+    expected = _kernels_py.mul(f1, _kernels_py.mul(f1, f1, n), n)
+    assert _build_cube(n) == tuple(expected)
+
+
+def test_kept_cube_is_sliced_and_rebuilt_longer(monkeypatch):
+    builds = []
+    build = etaq._build_cube
+    monkeypatch.setattr(etaq, "_build_cube", lambda n: builds.append(n) or build(n))
+    cube = build(300)
+    for k, n in ((1, 200), (1, 100), (3, 600), (2, 300), (1, 300), (7, 2100), (1, 250)):
+        spread = [0] * n
+        spread[::k] = cube[:-(-n // k)]
+        assert list(_cube_coeffs(k, n)) == spread, (k, n)
+    # f1^3 through ceil(n/k): 200 is built, then sliced for 100, for
+    # f3^3 through 600 and f2^3 through 300; 300 is built, then sliced
+    # for f7^3 through 2100 and for 250
+    assert builds == [200, 300]
+    assert len(etaq._CUBES.get(etaq._CUBE)) == 300
+
+
+def test_eval_reads_only_eulers_sum(monkeypatch):
+    """With every closed form but Euler's sum for f1 taken away, the
+    cube passes give the same series: the cube is built from f1 alone,
+    never read from Jacobi's closed form, which replay_proof checks
+    eval_eta against."""
+    text = "f1^-9*f2^7/f3^5 + 2*q^4*f1^6/f7^4"
+    expected = {m: eval_eta(text, 400, modulus=m) for m in (None, 7)}
+    monkeypatch.setattr(etaq, "_CLOSED_FORMS", {_EULER: etaq._CLOSED_FORMS[_EULER]})
+    etaq._CUBES.clear()
+    builds = []
+    build = etaq._build_cube
+    monkeypatch.setattr(etaq, "_build_cube", lambda n: builds.append(n) or build(n))
+    for m, series in expected.items():
+        assert eval_eta(text, 400, modulus=m) == series
+    assert builds
 
 
 def test_pass_work_counts_every_nonzero_of_fk():

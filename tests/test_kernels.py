@@ -3,6 +3,7 @@
 import random
 from functools import lru_cache
 from itertools import accumulate
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -135,7 +136,7 @@ def test_div_at_real_lengths():
         a = [rng.randint(-99, 99) for _ in range(n)]
         for b in _real_length_divisors(rng, n):
             full = poly_mul(a, poly_inv(b, n), n)
-            sides.add((n, sum(1 for x in b[1:n] if x) < _kernels_py._FEW_TERMS))
+            sides.add((n, sum(x in (1, -1) for x in b[1:n]) < _kernels_py._FEW_TERMS))
             for m in MODULI:
                 expected = _reduced(full, m)
                 for p in sorted({0, n, rng.randint(0, n), rng.randint(0, n)}):
@@ -441,3 +442,53 @@ def test_paired_quotient_against_oracle(c, half, b0, extra):
     b[::2] = [b0, *half]
     a = poly_mul(c, b, n)
     assert _kernels_py._div_pairs(a, b, n, _width(c, extra)) == c
+
+
+# -- divisors with weighted terms ----------------------------------------------------
+
+@st.composite
+def weighted_divisors(draw):
+    """(a, b, n, known) for a divisor b with b[0] = +-1 whose other terms
+    are mostly weighted, some +-1, past _FEW_TERMS of either kind at the
+    longer orders, and a prefix of the quotient of any length up to n."""
+    n = draw(st.integers(1, 200))
+    b = draw(st.lists(st.sampled_from((0, 0, 0, 1, -1, 2, -3, 5, -7, 2**70 + 3)),
+                      min_size=1, max_size=n + 5))
+    b[0] = draw(st.sampled_from((1, -1)))
+    a = draw(st.lists(st.integers(-2**70, 2**70), min_size=1, max_size=n + 5))
+    return a, b, n, draw(st.integers(0, n))
+
+
+@checked
+@given(divisor=weighted_divisors(), m=st.sampled_from(MODULI + (13, 2**64 + 13)))
+def test_weighted_divisors_run_the_same_in_either_loop(divisor, m):
+    """_div_few, which div picks for fewer than _FEW_TERMS terms +-1
+    whatever the weighted ones, equals the interleaved loop (_FEW_TERMS
+    at 0) and the oracle, from a known prefix too."""
+    a, b, n, p = divisor
+    expected = _reduced(poly_mul(a, poly_inv(b, n), n), m)
+    exponents = [j for j in range(1, min(n, len(b))) if b[j]]
+    assert _kernels_py._div_few(a, b, n, m, expected[:p], exponents) == expected
+    with mock.patch.object(_kernels_py, "_FEW_TERMS", 0):
+        assert _kernels_py._divide(a, b, n, m, expected[:p]) == expected
+    assert _kernels_py.div(a, b, n, m, expected[:p]) == expected
+
+
+def test_a_weighted_divisor_runs_div_few_at_any_length(monkeypatch):
+    """The cube f1^3 has one term +-1, its constant, and about sqrt(2n)
+    weighted ones: div runs it by _div_few, and f1 by the interleaved
+    loop."""
+    calls = []
+    div_few = _kernels_py._div_few
+    monkeypatch.setattr(_kernels_py, "_div_few",
+                        lambda *args: calls.append(args[2]) or div_few(*args))
+    n = 701
+    f1 = qpart.pochhammer_f(1, n).coeffs
+    cube = poly_mul(f1, poly_mul(f1, f1, n), n)
+    assert sum(1 for x in cube if x) > _kernels_py._FEW_TERMS
+    a = list(range(n))
+    expected = poly_mul(a, poly_inv(cube, n), n)
+    for m in (None, 7):
+        assert _kernels_py.div(a, cube, n, m) == _reduced(expected, m)
+        _kernels_py.div(a, f1, n, m)
+    assert calls == [n, n]

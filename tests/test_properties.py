@@ -11,8 +11,13 @@ runs for them, charged by their lengths, with the charge of expanding
 each term on its own.  Expressions whose scales share divisors, so
 that a term's passes run at several scales, are compared with the
 same reference and reduced mod m; the work of the passes, counted
-from the kernels, with that charge; and the order in which a term's
-factors are planned with every order.  The family sweep, which steps
+from the kernels, with that charge, from a kept cube f1^3 and from
+none; and the plan of a term's factors, their order and which of them
+fold into passes over fk^3, with every order and choice of folds.
+Factors with exponents -10..10 at the paper's scales run folded, as
+planned, all folded or none, in every lane, against the same
+reference, and equal the series from a cube kept shorter or longer
+than they need.  The family sweep, which steps
 from one color count to the next, is compared with `eval_eta` for every
 k it yields; random sequences of verifier calls, which share series
 through the sweep's memo, are compared with the same calls on an empty
@@ -24,10 +29,11 @@ Examples are derandomized and capped, so every run checks the same
 inputs.
 """
 
+import contextlib
 import sys
 import threading
 from functools import lru_cache
-from itertools import permutations
+from itertools import permutations, product
 from math import gcd
 from unittest import mock
 
@@ -111,6 +117,17 @@ def _pochhammer(k):
     return pochhammer_by_product(k, MAX_ORDER)
 
 
+@lru_cache(maxsize=None)
+def _dense_power(k, e):
+    """fk^e through MAX_ORDER by |e| dense products of the finite partial
+    product of fk, or of its inverse; truncation commutes with products,
+    so a lower order is a prefix."""
+    if e == 0:
+        return (1,) + (0,) * (MAX_ORDER - 1)
+    base = _pochhammer(k) if e > 0 else poly_inv(_pochhammer(k), MAX_ORDER)
+    return tuple(poly_mul(_dense_power(k, e - (e > 0) + (e < 0)), base, MAX_ORDER))
+
+
 def dense_reference(expr, order):
     """The expression expanded by dense products of the finite partial
     products of each fk, with no code from the package."""
@@ -118,11 +135,7 @@ def dense_reference(expr, order):
     for term in expr.terms:
         acc = [1] + [0] * (order - 1)
         for k, e in term.factors:
-            base = _pochhammer(k)[:order]
-            if e < 0:
-                base = poly_inv(base, order)
-            for _ in range(abs(e)):
-                acc = poly_mul(acc, base, order)
+            acc = poly_mul(acc, _dense_power(k, e)[:order], order)
         for i in range(order - term.q_shift):
             total[i + term.q_shift] += term.coefficient * acc[i]
     return total
@@ -195,29 +208,139 @@ def test_planned_passes_cost_no_more_than_the_charge(expr, order, kernel_passes)
 @checked
 @given(factors=st.dictionaries(st.sampled_from((1, 2, 3, 4, 6, 7, 8, 12, 14)),
                                st.integers(-6, 6).filter(bool), min_size=1, max_size=4),
-       order=st.integers(1, MAX_ORDER))
-@example(factors={1: 2, 2: -3}, order=50)
-@example(factors={1: -20, 2: 8, 7: -7, 14: 18}, order=MAX_ORDER)
-def test_plan_is_the_cheapest_order(factors, order):
-    """_plan_factors returns the factors in an order of least planned
-    work, found here by trying every order: per factor |e| passes, each
-    charged ceil(N/g) times the nonzeros of fk below N plus the fixed
-    charge of a pass, g the gcd of the scales applied so far, and no
-    charge for the first pass of a first factor with e > 0, a copy."""
-    def work(order_of_factors):
+       order=st.integers(1, MAX_ORDER), m=st.sampled_from((None, 7, 2**30 + 3, 2**64 + 13)),
+       kept=st.sampled_from((0, 1, MAX_ORDER // 2, MAX_ORDER)))
+@example(factors={1: 2, 2: -3}, order=50, m=None, kept=0)
+@example(factors={1: 2, 2: -3}, order=MAX_ORDER, m=7, kept=MAX_ORDER)
+@example(factors={1: -20, 2: 8, 7: -7, 14: 18}, order=MAX_ORDER, m=None, kept=0)
+def test_plan_is_the_cheapest_order(factors, order, m, kept):
+    """_plan_factors returns the factors in an order, each folded into
+    cube passes or not, of least price, found here by trying every order
+    and every choice of folds: per factor its passes through ceil(N/g),
+    g the gcd of the scales applied so far, the first pass of a first
+    factor with e > 0 being a copy, of the cube where it folds.  A pass
+    is priced per coefficient and nonzero term of its operand below N,
+    fk (+-1) or fk^3 (weighted), or per coefficient where it is a
+    product in the modular lane that packs, plus the fixed charge of a
+    pass; a folded factor is charged the cube's build through ceil(N/k)
+    unless a kept cube reaches it."""
+    def nonzeros(coeffs):
+        return sum(1 for x in coeffs[:order] if x)
+
+    def price(length, terms, weighted, multiplies):
+        if (multiplies and m is not None and length >= _kernels_py._PACK_FROM
+                and 2 * (terms**2 if weighted else terms) * (m - 1) < 2**64):
+            return length * etaq._PACKED + 8 * etaq._PASS_OVERHEAD
+        rate = etaq._WEIGHTED if weighted else etaq._UNIT
+        return length * terms * rate + 8 * etaq._PASS_OVERHEAD
+
+    def cube_nonzeros(k):
+        base = _pochhammer(k)
+        return nonzeros(poly_mul(base, poly_mul(base, base, order), order))
+
+    def work(plan):
         total, g = 0, 0
-        for i, (k, e) in enumerate(order_of_factors):
+        for i, (k, e, fold) in enumerate(plan):
             g = gcd(g, k)
-            nonzeros = sum(1 for x in _pochhammer(k)[:order] if x)
-            passes = abs(e) - (i == 0 and e > 0)
-            total += passes * (-(-order // g) * nonzeros + etaq._PASS_OVERHEAD)
+            length = -(-order // g)
+            cubes = abs(e) // 3 if fold else 0
+            singles = abs(e) - 3 * cubes
+            if i == 0 and e > 0:  # a copy
+                if cubes:
+                    cubes -= 1
+                else:
+                    singles -= 1
+            total += cubes * price(length, cube_terms[k], True, e > 0)
+            total += singles * price(length, nonzeros(_pochhammer(k)), False, e > 0)
+            c = -(-order // k)
+            if fold and kept < c:
+                total += c * etaq._BUILD + etaq._BUILD_FIXED
         return total
 
     factors = sorted(factors.items())
+    cube_terms = {k: cube_nonzeros(k) for k, _ in factors}
+    etaq._CUBES.clear()
+    if kept:
+        etaq._cube_coeffs(1, kept)
     with mock.patch.object(etaq, "_PLAN_FROM", 1):  # planned at every order
-        plan = etaq._plan_factors(factors, order)
-    assert sorted(plan) == factors
-    assert work(plan) == min(map(work, permutations(factors)))
+        plan = etaq._plan_factors(factors, order, m)
+    assert sorted((k, e) for k, e, _ in plan) == factors
+    plans = [[(k, e, fold) for (k, e), fold in zip(p, folds)]
+             for p in permutations(factors)
+             for folds in product(*[(False, True) if abs(e) >= 3 else (False,) for _, e in p])]
+    assert work(plan) == min(map(work, plans))
+
+
+# Factors at the scales of the paper's expressions, with exponents
+# -10..10, every residue mod 3 of both signs, so that a folded factor
+# leaves 0, 1 or 2 passes over fk after its cube passes.
+folded_expressions = st.lists(
+    st.builds(EtaTerm.make, coefficient=st.integers(-9, 9), q_shift=st.integers(0, 5),
+              factors=st.dictionaries(st.sampled_from((1, 2, 3, 7, 14)), st.integers(-10, 10),
+                                      max_size=3)),
+    min_size=1, max_size=2).map(lambda ts: EtaExpression(tuple(ts)))
+FOLD_MODULI = (None, 2, 7, 13, 2**30 + 3, 2**64 + 13)
+# The cube of the paper's Frobenius and dissection terms: every factor
+# of the plan's price at every length, the last ones at scale 1.
+PAPER_TERMS = parse_eta("f1^-9*f2^7/f3^5 + 2*q^4*f1^6/f7^4 - f7^10*f14^-8")
+
+
+def _forced_folds(fold):
+    """Every factor with |e| >= 3 folded (True), none (False), or as the
+    plan prices it (None)."""
+    if fold is None:
+        return contextlib.nullcontext()
+    return mock.patch.object(etaq, "_factor_price",
+                             lambda terms, *_: (0, fold and abs(terms[1]) >= 3))
+
+
+@checked
+@given(expr=folded_expressions, order=orders, m=st.sampled_from(FOLD_MODULI),
+       fold=st.sampled_from((None, False, True)))
+@example(expr=PAPER_TERMS, order=MAX_ORDER, m=None, fold=None)
+@example(expr=PAPER_TERMS, order=MAX_ORDER, m=2**64 + 13, fold=True)
+@example(expr=PAPER_TERMS, order=1, m=2, fold=True)
+def test_folded_passes_match_dense_reference(expr, order, m, fold):
+    """Each factor fk^e run as |e|//3 passes over fk^3 and |e|%3 over fk,
+    in either sign and lane, as the plan folds it or with every factor
+    folded or none, equals the dense reference."""
+    with _forced_folds(fold):
+        series = eval_eta(expr, order, modulus=m)
+    expected = dense_reference(expr, order)
+    assert list(series) == (expected if m is None else [x % m for x in expected])
+
+
+@checked
+@given(expr=folded_expressions, order=orders, m=st.sampled_from(FOLD_MODULI),
+       kept=st.integers(1, 2 * MAX_ORDER))
+@example(expr=PAPER_TERMS, order=MAX_ORDER, m=7, kept=MAX_ORDER // 3)
+@example(expr=PAPER_TERMS, order=MAX_ORDER, m=None, kept=2 * MAX_ORDER)
+def test_cold_and_warm_cubes_give_equal_series(expr, order, m, kept):
+    """With no cube kept, with one kept longer than the expansion needs
+    (sliced) and one kept shorter (built again, longer), every factor
+    folded so that the cube is read, the series are equal."""
+    with _forced_folds(True):
+        etaq._CUBES.clear()
+        cold = eval_eta(expr, order, modulus=m)
+        etaq._CUBES.clear()
+        etaq._cube_coeffs(1, kept)
+        assert eval_eta(expr, order, modulus=m) == cold
+        assert len(etaq._CUBES.get(etaq._CUBE)) >= kept
+    assert eval_eta(expr, order, modulus=m) == cold
+
+
+@settings(checked, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(expr=st.one_of(folded_expressions, divisor_expressions, shifted_expressions),
+       order=orders)
+@example(expr=PAPER_TERMS, order=MAX_ORDER)
+def test_passes_from_a_cold_cube_cost_no_more_than_the_charge(expr, order, kernel_passes):
+    """As test_planned_passes_cost_no_more_than_the_charge, with the cube
+    taken away before each expansion, so that every folded factor's
+    build, two products by f1, is counted."""
+    etaq._CUBES.clear()
+    kernel_passes.clear()
+    eval_eta(expr, order)
+    assert kernel_passes.work <= etaq._expansion_work(expr, order)
 
 
 @checked
