@@ -189,7 +189,12 @@ def div(a, b, n, m=None, known=(), inverse=None, scale=1, bits=None):
     the loop they replace.  Its other terms do not count: each costs a
     multiplication in either loop, and the C-level sum over the
     weighted terms saves less than the interleaved loop spends, so a
-    weighted divisor such as fk^3 runs _div_few at any length.
+    weighted divisor such as fk^3 runs _div_few at any length in the
+    exact lane.  With m set, every term is read as its residue of least
+    absolute value: the cube's weights 1, -3, 5, -7, ... mod 7 are 0
+    (dropped) for one term in seven and +1 or -1 (unit terms) for two,
+    and at n = 2100 a division by f1^3 mod 7 takes 3.6 ms, where it
+    took 5.0 ms with every weight multiplied as given (2.3 ms by f1).
     Measured with Python 3.11.7 on a 2-core x86-64 host, best of 15,
     dividing 1/f1 and 1/f1^3 by fk at orders 60 to 2107: with 8 to 19
     terms the interleaved loop took 0.64-1.19x
@@ -212,10 +217,12 @@ def div(a, b, n, m=None, known=(), inverse=None, scale=1, bits=None):
 
 def _divide(a, b, n, m, known):
     """div(a, b, n, m, known) by the recurrence: _div_few or the
-    interleaved loop."""
+    interleaved loop.  With m set each term of b is taken as its
+    residue of least absolute value (_least): one that vanishes is
+    dropped, and one that is +1 or -1 mod m counts as a unit term."""
     b0 = b[0]
     exponents = [*compress(range(1, n), islice(b, 1, n))]
-    if len(exponents) < _FEW_TERMS or _units(b, exponents) < _FEW_TERMS:
+    if len(exponents) < _FEW_TERMS or _units(b, exponents, m) < _FEW_TERMS:
         return _div_few(a, b, n, m, known, exponents)
     p = min(len(known), n)
     out = [0] * (2 * p)
@@ -249,22 +256,28 @@ def _divide(a, b, n, m, known):
                     put(x)
                     put(-x)
         if hi < n:
-            bj = b0 * b[hi]
+            bj = b0 * b[hi] if m is None else _least(b0 * b[hi], m)
             if bj == 1:
                 unit.append(1 - 2 * hi)
             elif bj == -1:
                 unit.append(-2 * hi)
-            else:
+            elif bj:
                 scaled.append(-2 * hi)
                 weights.append(-bj)
         lo = hi
     return out[::2]
 
 
-def _units(b, exponents):
-    """The number of terms +1 or -1 of b at the exponents."""
-    terms = _getter(exponents)(b)
-    return terms.count(1) + terms.count(-1)
+def _units(b, exponents, m):
+    """The number of terms of b at the exponents that are +1 or -1,
+    mod m if set."""
+    return sum((x if m is None else _least(x, m)) in (1, -1) for x in _getter(exponents)(b))
+
+
+def _least(x, m):
+    """The residue of x of least absolute value mod m, in
+    -((m-1)//2) .. m//2."""
+    return (x + (m - 1) // 2) % m - (m - 1) // 2
 
 
 def _slot_bytes(terms, n, m):
@@ -520,7 +533,8 @@ def _getter(indices):
 def _div_few(a, b, n, m, known, exponents):
     """div for a divisor whose nonzero terms below n, at the given
     exponents, are few: per t a Python loop over the terms, +1 and -1
-    terms costing one addition each."""
+    terms costing one addition each; with m set, the terms are read as
+    in _divide."""
     b0 = b[0]
     out = list(known[:n])
     p = len(out)
@@ -539,12 +553,12 @@ def _div_few(a, b, n, m, known, exponents):
                 x -= bj * out[t - j]
             out[t] = x if m is None else x % m
         if hi < n:
-            bj = b0 * b[hi]
+            bj = b0 * b[hi] if m is None else _least(b0 * b[hi], m)
             if bj == 1:
                 plus.append(hi)
             elif bj == -1:
                 minus.append(hi)
-            else:
+            elif bj:
                 scaled.append((hi, bj))
         lo = hi
     return out

@@ -27,13 +27,16 @@ from functools import lru_cache, reduce
 from . import _kernels_py as kernels
 from .etaq import (
     _CLOSED_FORMS,
+    _PASS_OVERHEAD,
     _PSI,
     EtaExpression,
     EtaTerm,
     ThetaFamily,
     _apply_factors,
     _closed_form,
+    _cube_nonzeros,
     _expansion_work,
+    _pass_work,
     _pochhammer_coeffs,
     _refuse_above_limit,
     _within_limit,
@@ -194,11 +197,10 @@ def _family_sweep(family: Family, ks: Iterable[int], order: int,
     walk of more members than capacity // order keeps only its newest
     capacity // order - 1, and the least recently used entries go once
     the kept series hold more than the capacity's coefficients in all.
-    Before the memo is read, the work of a direct expansion of the
-    largest k, plus one output series per further k, is refused above
-    the expansion limit, so whether an input is refused does not depend
-    on what the memo holds; the psi and f2 passes of family a have no
-    more nonzeros than the f2 and f1 passes charged.
+    Before the memo is read, the sweep's own steps through the largest
+    k (_sweep_work) are refused above the expansion limit, so whether
+    an input is refused depends neither on what the memo holds nor on
+    the lane.
     """
     if order < 1:
         raise ValueError("order must be >= 1")
@@ -209,8 +211,7 @@ def _family_sweep(family: Family, ks: Iterable[int], order: int,
     if not ks:
         return
     last = ColoredFamilySpec(family, max(ks))
-    _refuse_above_limit(_expansion_work(family_expression(last), order)
-                        + order * (len(ks) - 1))
+    _refuse_above_limit(_sweep_work(family, last.colors, order, len(ks)))
     kept = {k: series for k in range(1, last.colors + 1)
             if (series := _MEMO.get(_memo_key(family, k, m))) is not None}
     start = max((k for k, series in kept.items()
@@ -254,6 +255,16 @@ def _family_sweep(family: Family, ks: Iterable[int], order: int,
             yield k, series
 
 
+def _sweep_work(family: Family, k: int, order: int, outputs: int) -> int:
+    """Coefficient additions charged for a family sweep through member k
+    at the order that yields `outputs` series: those series, one pass
+    over f1 for member 1, and per further member its step, a pass over
+    f2 and, in family a, one over psi, whose nonzero terms below the
+    order lie at the triangular numbers, as those of f1^3 do."""
+    psi = order * _cube_nonzeros(1, order) + _PASS_OVERHEAD if family is Family.ODD_COLORED else 0
+    return order * outputs + _pass_work(1, order) + (k - 1) * (_pass_work(2, order) + psi)
+
+
 def verify_claim(claim: CongruenceClaim, upto: int,
                  modular: bool = False) -> ClaimReport:
     """Check a claim for n = 0 .. upto-1 and report the smallest violation.
@@ -265,7 +276,7 @@ def verify_claim(claim: CongruenceClaim, upto: int,
     as at the claim's own order modulus*upto + r + 1, so the report is
     the same.  Where the shared order would be refused as too much
     work, the claim's own order is used, so a claim is refused, with
-    the same message, exactly when its own expansion would be.
+    the same message, exactly when its own sweep would be.
     With `modular` set the expansion runs mod the claim modulus (faster;
     a counterexample value is then only known as a residue): 1/f1 by
     halving from psi and checked, the products by psi as shifted adds
@@ -281,7 +292,7 @@ def verify_claim(claim: CongruenceClaim, upto: int,
         raise ValueError("upto must be >= 1")
     m, r = claim.modulus, claim.residue
     order = m * (upto + 1)
-    if not _within_limit(_expansion_work(family_expression(claim.spec), order)):
+    if not _within_limit(_sweep_work(claim.spec.family, claim.spec.colors, order, 1)):
         order = m * upto + r + 1
     _, series = next(_family_sweep(claim.spec.family, [claim.spec.colors], order,
                                    m if modular else None))
@@ -432,13 +443,15 @@ def verify_frobenius(a: int, b: int, p: int, order: int = 300) -> bool:
     (_frobenius_verdict), so a check repeated, as f_s^7 == f_7s (mod 7)
     is by the proof replays, runs its passes once.  The map is read only
     after the arguments are taken as integers, the work is checked
-    against the expansion limit and p is found prime.
+    against the expansion limit and p is found prime.  The check plans
+    the expansion mod p, and eval_eta runs that plan, kept per
+    expression (_expansion_plan), so it is planned once.
     """
     a, b, p, order = map(_int_value, (a, b, p, order), ("a", "b", "p", "order"))
     if a < 1 or b < 1:
         raise ValueError("need a >= 1 and b >= 1")
     if p > 1:  # trial division takes up to sqrt(p) steps: refuse too much work first
-        _refuse_above_limit(_expansion_work(_frobenius_difference(a, b, p), order))
+        _refuse_above_limit(_expansion_work(_frobenius_difference(a, b, p), order, p))
     if not _is_prime(p):
         raise ValueError(f"p must be prime, got {p}")
     return _frobenius_verdict(a, b, p, order)

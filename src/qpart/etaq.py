@@ -19,6 +19,7 @@ from __future__ import annotations
 import enum
 from collections import namedtuple
 from collections.abc import Mapping, Sequence
+from functools import lru_cache
 from math import gcd, isqrt
 from operator import add
 
@@ -363,45 +364,40 @@ def _format_term(term: EtaTerm) -> str:
 # ---------------------------------------------------------------------------
 
 # eval_eta refuses an expansion that would cost more than this many
-# coefficient additions: one per output coefficient, one per coefficient
-# a term adds into the output, and per pass order * nnz(fk) plus
-# _PASS_OVERHEAD, what a pass costs whatever its length.
+# coefficient additions: the output, the coefficients each term adds
+# into it, and the price of the passes it plans (_expansion_plan).
 _MAX_EXPANSION_WORK = 10**8
 _PASS_OVERHEAD = 40  # a pass at order 1 takes 1-1.5 us; an addition at order 2107, 35-45 ns
 
 
-def _apply_factors(acc: Sequence[int] | None, factors, n: int,
-                   m: int | None) -> tuple[list[int], int]:
-    """acc * prod fk^e through order n, mod m if set, for (k, e) pairs as
-    in EtaTerm.factors, acc None standing for the series 1: the pass
-    loop of eval_eta and of replay_proof's division by f_7s.  Returns
-    (coeffs, g), the result being coeffs at q -> q^g: its coefficient
-    g*i is coeffs[i] for i < ceil(n/g), and every other one is 0.
+def _apply_factors(acc: Sequence[int] | None, factors, n: int, m: int | None,
+                   folded=()) -> tuple[list[int], int]:
+    """acc * prod fk^e through order n, mod m if set, for (k, e) pairs
+    run in the order given, acc None standing for the series 1: the
+    pass loop of eval_eta and of replay_proof's division by f_7s.
+    Returns (coeffs, g), the result being coeffs at q -> q^g: its
+    coefficient g*i is coeffs[i] for i < ceil(n/g), and every other one
+    is 0.
 
     A factor fk^e costs |e| passes over fk, each a product
     kernels.mul(fk, acc) or a quotient kernels.div(acc, fk), the
-    recurrence.  A factor that its plan folds costs |e|//3 passes over
-    the cube fk^3 (_cube_coeffs) and then |e|%3 passes over fk, since
-    fk^e = (fk^3)^(e//3) * fk^(e%3) for either sign of e; the same
-    kernels run them.  Given acc, g is 1, every pass runs through n and
-    the products run first, each factor folded where _fold_factors
-    prices that lower.
+    recurrence.  Where k is among the scales `folded` it costs |e|//3
+    passes over the cube fk^3 (_cube_coeffs) and then |e|%3 over fk,
+    since fk^e = (fk^3)^(e//3) * fk^(e%3) for either sign of e; the same
+    kernels run them.  Given acc, g is 1 and every pass runs through n.
 
-    From the series 1 the factors run in the order of _plan_factors.
-    While the scales applied so far have gcd g, the running series is
-    F(q^g), and fk and its cube are f_(k/g) and f_(k/g)^3 at q^g;
-    truncation mod q^n commutes with q -> q^g, so each pass multiplies
-    or divides F by f_(k/g) or its cube through ceil(n/g), and the
-    result is exact.  The first pass of the first factor is a copy of
-    its operand where its e > 0, a quotient of the series 1 otherwise;
-    where the gcd falls from g to g', F is spread to q -> q^(g/g')
-    once.  With no factors the result is the series 1, ([1], n).
+    From the series 1, while the scales applied so far have gcd g, the
+    running series is F(q^g), and fk and its cube are f_(k/g) and
+    f_(k/g)^3 at q^g; truncation mod q^n commutes with q -> q^g, so
+    each pass multiplies or divides F by f_(k/g) or its cube through
+    ceil(n/g), and the result is exact.  The first pass of the first
+    factor is a copy of its operand where its e > 0, a quotient of the
+    series 1 otherwise; where the gcd falls from g to g', F is spread
+    to q -> q^(g/g') once.  With no factors the result is the series 1,
+    ([1], n).
     """
-    if acc is None:
-        g, plan = 0, _plan_factors(factors, n, m)  # gcd(0, k) = k
-    else:
-        g, plan = 1, _fold_factors(sorted(factors, key=lambda f: f[1] < 0), n, m, False)
-    for k, e, fold in plan:
+    g = 0 if acc is None else 1  # gcd(0, k) = k
+    for k, e in factors:
         step = gcd(g, k)
         length = -(-n // step)
         if step < g:
@@ -409,7 +405,7 @@ def _apply_factors(acc: Sequence[int] | None, factors, n: int,
             spread[:: g // step] = acc
             acc = spread
         g = step
-        cubes = abs(e) // 3 if fold else 0
+        cubes = abs(e) // 3 if k in folded else 0
         for operand, count in ((_cube_coeffs, cubes), (_pochhammer_coeffs, abs(e) - 3 * cubes)):
             if not count:
                 continue
@@ -433,41 +429,27 @@ def _apply_factors(acc: Sequence[int] | None, factors, n: int,
 _PLAN_MAX = 4
 _PLAN_FROM = 64
 
-# The plan prices a pass in eighths of an addition: per coefficient it
-# computes and nonzero term of its operand, _UNIT for a slice add or a
-# recurrence term by +1 or -1, _WEIGHTED for one by another weight,
-# which multiplies; per coefficient, whatever the operand, _PACKED for
-# a product in the modular lane that packs, whose shifted big-int adds
-# cost less than its packing and unpacking.  A cold build of the cube,
-# whose two packed products and list passes cost about the same per
-# coefficient at every length, is priced _BUILD per coefficient plus
-# _BUILD_FIXED.  Every pass adds _PASS_OVERHEAD additions.  The ratios
-# are measured (see CHANGES.md).
-_UNIT = 8
-_WEIGHTED = 16
-_PACKED = 64
-_BUILD = 160
-_BUILD_FIXED = 3200
 
-
-def _plan_factors(factors, n: int, m: int | None):
-    """The factors (k, e) of a term as (k, e, fold), in the order in
-    which _apply_factors expands them from the series 1, fold telling
-    whether fk^e runs by cube passes, at the least price: per factor
-    _factor_price through ceil(n/g), g the gcd of the scales applied up
-    to and including k, the first factor's first pass being a copy
-    where its e > 0.  g depends only on the set of factors applied, and
-    so does the price of the last one, so a cheapest plan through a set
-    is a cheapest plan through the set less some factor, then that
-    factor: a dynamic program over the subsets, s * 2^(s-1) steps for s
-    factors, where the s! orders would take s * s! steps.  With one
-    factor, more than _PLAN_MAX or n below _PLAN_FROM, the products run
-    first, as on a given acc (_fold_factors); the passes still run at
-    the running gcd."""
+def _plan_factors(factors, n: int):
+    """The plan by which _apply_factors expands the factors (k, e) of a
+    term from the series 1, at the least price: (the factors in the
+    order they run, the scales of those that run by cube passes, the
+    price).  A factor's price is _factor_price through ceil(n/g), g the
+    gcd of the scales applied up to and including k, the first factor's
+    first pass being a copy where its e > 0.  g depends only on the set
+    of factors applied, and so does the price of the last one, so a
+    cheapest plan through a set is a cheapest plan through the set less
+    some factor, then that factor: a dynamic program over the subsets,
+    s * 2^(s-1) steps for s factors, where the s! orders would take
+    s * s! steps.  With one factor, more than _PLAN_MAX or n below
+    _PLAN_FROM, the products run first, as on a given acc
+    (_fold_factors); the passes still run at the running gcd.  The plan
+    depends on (factors, n) alone: not on the lane, nor on what the
+    process keeps."""
     size = len(factors)
     if size < 2 or size > _PLAN_MAX or n < _PLAN_FROM:
-        return _fold_factors(sorted(factors, key=lambda f: f[1] < 0), n, m, True)
-    terms = [_factor_terms(k, e, n, m) for k, e in factors]
+        return _fold_factors(factors, n, True)
+    terms = [_factor_terms(k, e, n) for k, e in factors]
     full = 1 << size
     members = range(size)
     bits = [1 << i for i in members]
@@ -488,76 +470,59 @@ def _plan_factors(factors, n: int, m: int | None):
                     best = c
                     last[subset] = (i, fold)
         cost[subset] = best
-    plan = []
-    subset = full - 1
+    ordered, folded, subset = [], set(), full - 1
     while subset:
         i, fold = last[subset]
-        plan.append((*factors[i], fold))
+        ordered.append(factors[i])
+        if fold:
+            folded.add(factors[i][0])
         subset ^= bits[i]
-    return plan[::-1]
+    return tuple(ordered[::-1]), frozenset(folded), cost[-1]
 
 
-def _fold_factors(factors, n: int, m: int | None, from_one: bool):
-    """The factors (k, e), run in this order, as (k, e, fold), each
-    folded where _factor_price prices that lower at the length it runs
-    through: ceil(n/g), g the running gcd of the scales from the series
-    1 (from_one), else n."""
-    plan = []
-    g = 0 if from_one else 1
-    for k, e in factors:
+def _fold_factors(factors, n: int, from_one: bool):
+    """The plan, as _plan_factors returns it, that runs the products
+    among the factors (k, e) first, each factor folded where
+    _factor_price prices that lower at the length it runs through:
+    ceil(n/g), g the running gcd of the scales from the series 1
+    (from_one), else n."""
+    factors = sorted(factors, key=lambda f: f[1] < 0)
+    folded, price, g = set(), 0, 0 if from_one else 1
+    for i, (k, e) in enumerate(factors):
         g = gcd(g, k)
-        fold = abs(e) >= 3 and _factor_price(_factor_terms(k, e, n, m), -(-n // g),
-                                              from_one and not plan)[1]
-        plan.append((k, e, fold))
-    return plan
+        c, fold = _factor_price(_factor_terms(k, e, n), -(-n // g), from_one and not i)
+        if fold:
+            folded.add(k)
+        price += c
+    return tuple(factors), frozenset(folded), price
 
 
-def _factor_terms(k: int, e: int, n: int, m: int | None):
-    """What _factor_price needs of fk^e below order n: (k, e, the price
-    per coefficient of a pass over fk, that of one over fk^3, build).
-    A price per coefficient is a pair, below _PACK_FROM and from it on
-    (_rates).  build is the price of building f1^3 through ceil(n/k),
-    the length that fk^3 needs, 0 where the kept cube reaches it."""
-    units = _nonzeros(k, n)
-    if -3 < e < 3:
-        return k, e, _rates(units, units, False, e > 0, m), None, 0
-    c = -(-n // k)
-    build = 0 if len(_CUBES.get(_CUBE) or ()) >= c else c * _BUILD + _BUILD_FIXED
-    cubes = _cube_nonzeros(k, n)
-    return (k, e, _rates(units, units, False, e > 0, m),
-            _rates(cubes, cubes * cubes, True, e > 0, m), build)
-
-
-def _rates(terms: int, weights: int, weighted: bool, product: bool, m: int | None):
-    """The price per coefficient of a pass over an operand with `terms`
-    nonzero terms below the order, fk's +1 or -1 or the cube's weighted,
-    whose |weights| add up to at most `weights`: terms * _UNIT or
-    _WEIGHTED, and as the second of the pair, from _PACK_FROM on,
-    _PACKED for a product in the modular lane that packs as shifted
-    adds, its slot bound 2 * (m-1) * weights below 2^64."""
-    loop = terms * (_WEIGHTED if weighted else _UNIT)
-    packs = product and m is not None and 2 * weights * (m - 1) < 1 << 64
-    return loop, _PACKED if packs else loop
+def _factor_terms(k: int, e: int, n: int):
+    """What _factor_price needs of fk^e below order n: (k, e, the
+    nonzero terms of fk below n, those of fk^3, and the price of
+    building the cube, two passes over f1 through ceil(n/k), the length
+    that fk^3 needs)."""
+    return k, e, _nonzeros(k, n), _cube_nonzeros(k, n), 2 * _pass_work(1, -(-n // k))
 
 
 def _factor_price(terms, length: int, first: bool) -> tuple[int, bool]:
     """(price, fold): the lower price of fk^e's passes through `length`,
-    with terms from _factor_terms, and whether that is by cube passes.
-    Plain, fk^e is |e| passes over fk; folded, it is the cube's build
-    where it is not kept, |e|//3 passes over fk^3, and |e|%3 over fk.
-    Where `first` and e > 0, the first pass is a copy, priced 0.  A pass
-    is priced length times its price per coefficient, plus
-    _PASS_OVERHEAD."""
-    k, e, units, cubes, build = terms
-    packed = length >= kernels._PACK_FROM
+    with terms from _factor_terms, and whether that is by cube passes:
+    |e| passes over fk, or the cube's build, |e|//3 passes over fk^3
+    and |e|%3 over fk.  Where `first` and e > 0, the first pass is a
+    copy, priced 0.  A pass is priced length times the nonzero terms of
+    its operand, plus _PASS_OVERHEAD, in either lane: a product in the
+    modular lane that packs costs less (see _expansion_plan).  The
+    build is priced whether or not a cube is kept, so a kept cube only
+    saves time and never changes a plan; a tie folds, since the build's
+    two products run packed, below the price of two passes."""
+    _, e, units, cubes, build = terms
     passes, copy = abs(e), first and e > 0
-    single = length * units[packed] + 8 * _PASS_OVERHEAD
+    single = length * units + _PASS_OVERHEAD
     plain = (passes - copy) * single
-    if passes < 3:
-        return plain, False
-    folded = (build + (passes // 3 - copy) * (length * cubes[packed] + 8 * _PASS_OVERHEAD)
+    folded = (build + (passes // 3 - copy) * (length * cubes + _PASS_OVERHEAD)
               + passes % 3 * single)
-    return (folded, True) if folded < plain else (plain, False)
+    return (folded, True) if passes >= 3 and folded <= plain else (plain, False)
 
 
 def _nonzeros(k: int, n: int) -> int:
@@ -572,8 +537,9 @@ def _nonzeros(k: int, n: int) -> int:
 def _cube_nonzeros(k: int, n: int) -> int:
     """The nonzero coefficients of fk^3 below order n: built from Euler's
     sum, fk^3 has one term q^(k*j(j+1)/2) per integer j >= 0 (Jacobi),
-    so those with j(j+1)/2 <= X = (n-1)//k, that is 2j + 1 <= isqrt(1 + 8X).
-    The plan's prices read this count; no coefficient is read from it."""
+    so those with j(j+1)/2 <= X = (n-1)//k, that is 2j + 1 <= isqrt(1 + 8X);
+    Gauss's psi(q^k) has its terms at the same exponents.  Prices read
+    this count; no coefficient is read from it."""
     return (isqrt(1 + 8 * ((n - 1) // k)) + 1) // 2
 
 
@@ -583,26 +549,47 @@ def _pass_work(k: int, n: int) -> int:
     return n * _nonzeros(k, n) + _PASS_OVERHEAD
 
 
-def _expansion_work(expr: EtaExpression, order: int) -> int:
-    """Coefficient additions of expanding each term of expr on its own
-    through the order: the output, and per term c * q^s * prod fk^e the
-    N - s coefficients it adds and |e| passes over fk through N - s.
-    eval_eta's shared factors are chosen so that their passes, charged
-    the same way, never cost more, and a pass that runs at a scale
-    d > 1 computes only ceil(n/d) coefficients, so this bounds what it
-    spends.  A folded factor spends no more than its |e| passes over fk
-    either: fk^3 has no more nonzeros below n than fk (one per
-    triangular number against one per pentagonal number, of which there
-    are more below every bound), each multiplying or adding once, so
-    each of its |e|//3 >= 1 passes over fk^3 costs at most one over fk;
-    and a cold build of the cube, two products by f1 through ceil(n/k),
-    whose nonzeros are those of fk below n, costs at most two."""
-    work = order  # the output list
-    for term in expr.terms:
+@lru_cache(maxsize=64)
+def _expansion_plan(expr: EtaExpression, order: int, m: int | None):
+    """What eval_eta(expr, order, m) runs, and what it is charged:
+    (work, ((term, plan), ...), shared).  The terms are those with
+    q-shift s below the order and coefficient nonzero (mod m), each
+    planned by _plan_factors for its factors less the shared ones
+    (_shared_factors) through N - s; shared is (), or (s0, the plan by
+    which those run on the sum from q^s0 on, _fold_factors), s0 the
+    lowest shift.  work is the output's N coefficients, each term's
+    N - s additions into it and the plans' prices, so whether an input
+    is refused depends only on (expr, order, m).  In the modular lane a
+    product that packs runs as one shifted big-int add per nonzero term
+    over w-byte slots, w <= 8, which took 0.03-0.18 of an addition per
+    term and coefficient from n = 2107 to 3 * 10^6 (mod 7, 13 and
+    2^31 - 1; Python 3.11.7 on a 2-core x86-64 host), so the price of a
+    pass bounds it too.
+    The plan is kept per (expr, order, m), so a check that charges an
+    expression before it expands it (verify_frobenius) plans it once."""
+    terms = [term for term in expr.terms if term.q_shift < order
+             and (term.coefficient if m is None else term.coefficient % m)]
+    shared = _shared_factors(terms, order)
+    work, plans = order, []
+    for term in terms:
         n = order - term.q_shift
-        if n > 0:
-            work += n + sum(abs(e) * _pass_work(k, n) for k, e in term.factors)
-    return work
+        rest = dict(term.factors)
+        for k, g in shared:
+            rest[k] = rest.get(k, 0) - g
+        plan = _plan_factors([(k, e) for k, e in rest.items() if e], n)
+        work += n + plan[2]
+        plans.append((term, plan))
+    if shared:
+        s0 = min(term.q_shift for term in terms)
+        shared = s0, _fold_factors(shared, order - s0, False)
+        work += shared[1][2]
+    return work, tuple(plans), shared
+
+
+def _expansion_work(expr: EtaExpression, order: int, m: int | None = None) -> int:
+    """Coefficient additions charged for eval_eta(expr, order, m): the
+    work of _expansion_plan."""
+    return _expansion_plan(expr, order, m)[0]
 
 
 def _within_limit(work: int) -> bool:
@@ -734,18 +721,18 @@ def eval_eta(expr: EtaExpression | str, order: int,
     s0 the lowest shift among the terms, is multiplied by the shared
     factors once, through order N - s0.  Truncation mod q^N is a ring
     homomorphism and every division is by fk's constant term 1, so this
-    is exact.  The shared factors are chosen so that the passes, each
-    charged by its whole length, cost no more than expanding each term
-    on its own, which _expansion_work charges, and a pass at scale d
-    runs through ceil(n/d) <= n coefficients; a folded factor, its
-    build included, spends no more than its passes over fk (see
-    _expansion_work).  Both kernels work over the nonzero coefficients
-    of fk only, about 2*sqrt(2N/(3k)) of them, each +1 or -1, so a pass
-    costs about N * nnz(fk) integer additions and no multiplications; a
-    pass over fk^3 costs one multiplication by a small weight per
-    nonzero coefficient too.  An expression whose output and passes would cost more than
-    _MAX_EXPANSION_WORK additions is refused with ValueError before
-    anything is allocated.
+    is exact.
+
+    Every term and the shared factors are planned once, before anything
+    of the order's size is allocated (_expansion_plan), and exactly
+    those plans run.  The output, the terms' additions into it and the
+    plans' prices, the build of the cube for each folded factor among
+    them, are the work charged; an expression charged more than
+    _MAX_EXPANSION_WORK
+    additions is refused with ValueError.  A pass costs about its
+    length times its operand's nonzero terms: both kernels work over
+    those only, each +1 or -1 in fk, about 2*sqrt(2N/(3k)) of them, or
+    a small weight in fk^3.
 
     With `modulus` set, every pass reduces into 0..modulus-1.  Nothing
     is divided by anything but fk's constant term 1, so this holds for
@@ -755,9 +742,8 @@ def eval_eta(expr: EtaExpression | str, order: int,
     (see qpart._kernels_py), while the divisions stay the sequential
     recurrence, so that eval_eta stays an independent check of the
     family sweep, whose divisions by f2 are packed products too.  The
-    plan prices a packed product below a recurrence pass, so in this
-    lane it may order a term's factors otherwise than in the exact one;
-    the cube is the exact f1^3 in either lane.
+    plans are priced as in the exact lane, and the cube is the exact
+    f1^3.
     """
     if isinstance(expr, str):
         expr = parse_eta(expr)
@@ -765,26 +751,21 @@ def eval_eta(expr: EtaExpression | str, order: int,
     if order < 1:
         raise ValueError("order must be >= 1")
     m = None if modulus is None else _modulus_value(modulus)
-    _refuse_above_limit(_expansion_work(expr, order))
-    terms = [term for term in expr.terms if term.q_shift < order
-             and (term.coefficient if m is None else term.coefficient % m)]
-    shared = _shared_factors(terms, order)
+    work, plans, shared = _expansion_plan(expr, order, m)
+    _refuse_above_limit(work)
     total = [0] * order
-    for i, term in enumerate(terms):
+    for i, (term, (factors, folded, _)) in enumerate(plans):
         s = term.q_shift
         c = term.coefficient if m is None else term.coefficient % m
-        rest = dict(term.factors)
-        for k, g in shared:
-            rest[k] = rest.get(k, 0) - g
-        acc, d = _apply_factors(None, [(k, e) for k, e in rest.items() if e], order - s, m)
+        acc, d = _apply_factors(None, factors, order - s, m, folded)
         if c != 1:
             acc = [c * x for x in acc]
         total[s::d] = map(add, total[s::d], acc) if i else acc  # the first term is placed
     if m is not None:
         total = [x % m for x in total]
     if shared:  # every term starts at q^s0 or later
-        s0 = min(term.q_shift for term in terms)
-        total[s0:], _ = _apply_factors(total[s0:], shared, order - s0, m)
+        s0, (factors, folded, _) = shared
+        total[s0:], _ = _apply_factors(total[s0:], factors, order - s0, m, folded)
     return TruncatedSeries(total)
 
 

@@ -6,13 +6,14 @@ from qpart import _kernels_py, congruence, etaq, partitions
 @pytest.fixture(autouse=True)
 def cold_memos():
     """Start every test with an empty family-sweep memo, no kept count
-    table, no kept cube f1^3 and no kept Frobenius verdict, so that no
-    result, and no list of kernel passes, depends on which tests ran
-    before it."""
+    table, no kept cube f1^3, no kept Frobenius verdict and no kept
+    expansion plan, so that no result, and no list of kernel passes,
+    depends on which tests ran before it."""
     congruence._MEMO.clear()
     partitions._TABLES.clear()
     etaq._CUBES.clear()
     congruence._frobenius_verdict.cache_clear()
+    etaq._expansion_plan.cache_clear()
     yield
 
 

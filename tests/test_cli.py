@@ -85,9 +85,20 @@ def test_expand_runaway_exponent_exits_2_promptly(capsys):
 
 
 def test_expand_many_short_passes_exits_2_promptly(capsys):
-    # three million passes at order 3 take seconds, though each is short
+    # three million passes over f1^3 at order 3 take seconds, though each is short
     t0 = time.perf_counter()
-    code, out, err = run(capsys, "expand", "f1^-3000000", "--order", "3")
+    code, out, err = run(capsys, "expand", "f1^-9000000", "--order", "3")
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 2
+    assert out == ""
+    assert "limit" in err
+
+
+def test_expand_a_long_packed_product_exits_2_promptly(capsys):
+    # f1^2 mod 7 through 9 million is one packed product by f1: about
+    # 4900 shifted adds over an 18 MB int, charged as many passes
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, "expand", "f1^2", "--order", "9000000", "--mod", "7")
     assert time.perf_counter() - t0 < 1.0
     assert code == 2
     assert out == ""

@@ -11,6 +11,7 @@ from qpart.congruence import (
     ClaimSource,
     CongruenceClaim,
     UnsupportedFamilyError,
+    _sweep_work,
     dissected_component,
     family_expression,
     lift_factorization_holds,
@@ -25,7 +26,6 @@ from qpart.congruence import (
 )
 from qpart.etaq import (
     ThetaFamily,
-    _expansion_work,
     eval_eta,
     format_eta,
     pochhammer_f,
@@ -120,8 +120,8 @@ def test_claim_refused_exactly_when_its_own_expansion_is(monkeypatch):
     # a limit between the work at the claim's own order, 7*40 + 0 + 1,
     # and at the order it shares with the other classes, 7*41
     claim = CongruenceClaim(a(3), 7, 0)
-    own = _expansion_work(family_expression(a(3)), 7 * 40 + 1)
-    assert own < _expansion_work(family_expression(a(3)), 7 * 41)
+    own = _sweep_work(Family.ODD_COLORED, 3, 7 * 40 + 1, 1)
+    assert own < _sweep_work(Family.ODD_COLORED, 3, 7 * 41, 1)
     report = verify_claim(claim, 40)
     monkeypatch.setattr(etaq, "_MAX_EXPANSION_WORK", own)
     assert verify_claim(claim, 40) == report
@@ -306,14 +306,14 @@ def test_replay_proof_families(k, target, sumset):
 _REPLAY_PASSES = {
     # f1^6: a copy of the cube and one product by it
     1: ([("mul", 300)], [("mul", 300)] * 2),
-    # f4^2 * f2^4 through 150 at q^2: a copy of f1^3, a product by f1,
-    # two by f2
-    3: ([("mul", 150)] * 3, [("mul", 150)] * 2),
+    # f4^2 * f2^4: a copy of f1 and a product by it through 75 at q^4,
+    # then a product by f1^3 and one by f1 through 150 at q^2
+    3: ([("mul", 75), ("mul", 150), ("mul", 150)], [("mul", 150)] * 2),
     # f2^3 * f1^3: a copy of the cube, one product by f2^3
     4: ([("mul", 300)], [("mul", 300)] * 2),
-    # f2^4 * f1^2: a copy of the cube and a product by f1 through 150,
-    # then two products by f1 through 300
-    5: ([("mul", 150), ("mul", 300), ("mul", 300)], [("mul", 300)] * 2),
+    # f2^4 * f1^2: a copy of f1 and a product by it, then a product by
+    # f2^3 and one by f2
+    5: ([("mul", 300)] * 3, [("mul", 300)] * 2),
     # f2^6 through 150 at q^2: a copy of the cube and one product by it
     7: ([("mul", 150)], [("mul", 300)] * 2),
 }
@@ -443,11 +443,10 @@ def test_family_a_steps_by_psi_over_f2(kernel_passes):
 @pytest.mark.parametrize("family", list(Family))
 @pytest.mark.parametrize("order", [1, 2, 11, 100, 2107])
 def test_sweep_work_stays_within_its_charge(family, order, kernel_passes):
-    # the charge counts passes over f2 and f1 per step of family a; the
-    # psi and f2 passes that run instead have no more nonzeros in all
+    # the charge counts the passes the sweep runs: over f1 for member 1,
+    # and per further member over f2 and, in family a, over psi
     list(congruence._family_sweep(family, range(1, 9), order))
-    charge = _expansion_work(family_expression(ColoredFamilySpec(family, 8)), order) + 7 * order
-    assert 0 < kernel_passes.work <= charge
+    assert 0 < kernel_passes.work <= _sweep_work(family, 8, order, 8)
 
 
 def test_a_wrong_psi_row_shows_in_the_sweep_and_not_in_eval_eta(monkeypatch):

@@ -191,34 +191,28 @@ def test_eval_starts_each_term_from_its_first_product(kernel_passes):
     kernel_passes.clear()
     etaq._CUBES.clear()
     eval_eta("f2^2/f1^3", 100)
-    # with no cube kept, building one costs more than the two divisions
-    # by f1 it would save at this order
-    assert kernel_passes == [("mul", 50), ("div", 100), ("div", 100), ("div", 100)]
-    _cube_coeffs(1, 100)
+    # f1^-3 is one division by the cube, built first where none is
+    # kept: two products by f1
+    assert kernel_passes == [("mul", 50), ("mul", 100), ("mul", 100), ("div", 100)]
     kernel_passes.clear()
     eval_eta("f2^2/f1^3", 100)
-    # with it kept, f1^-3 is one division by the cube
     assert kernel_passes == [("mul", 50), ("div", 100)]
 
 
 def test_eval_keeps_the_passes_of_a_single_term(kernel_passes):
-    # the divisions by f2 = f1(q^2) run through 50 on the term at
-    # q -> q^(1/2), which is spread once before the products by f1
+    # f1^2 runs first, its first product a copy of f1, and f2^-3 is one
+    # division by f2^3, whose cube f1^3 through ceil(n/2) is built by two
+    # products where none is kept: as planned from _PLAN_FROM on, and by
+    # the products-first rule below it
     assert eval_eta("f1^2/f2^3", 100) == pochhammer_f(1, 100) ** 2 * eval_eta("1/f2^3", 100)
-    etaq._CUBES.clear()
-    kernel_passes.clear()
-    eval_eta("f1^2/f2^3", 100)
-    assert kernel_passes == [("div", 50)] * 3 + [("mul", 100)] * 2
-    # below _PLAN_FROM the products run first, the first a copy of f1
-    kernel_passes.clear()
-    eval_eta("f1^2/f2^3", _PLAN_FROM - 1)
-    assert kernel_passes == [("mul", _PLAN_FROM - 1)] + [("div", _PLAN_FROM - 1)] * 3
-    # with the cube kept, f2^-3 is one division by f2^3, priced below
-    # three by f2 at half the length: the products then run first
-    _cube_coeffs(1, 100)
     for n in (_PLAN_FROM - 1, 100):
+        etaq._CUBES.clear()
         kernel_passes.clear()
         eval_eta("f1^2/f2^3", n)
+        half = -(-n // 2)
+        assert kernel_passes == [("mul", n), ("mul", half), ("mul", half), ("div", n)]
+        kernel_passes.clear()
+        eval_eta("f1^2/f2^3", n)  # the same plan, from the cube kept now
         assert kernel_passes == [("mul", n), ("div", n)]
 
 
@@ -228,22 +222,18 @@ def test_eval_runs_a_single_factor_through_the_order_over_its_scale(k, e, kernel
     for n in (1, 2, 13, 50, 101):
         base = TruncatedSeries(pochhammer_by_product(k, n))
         expected = base ** e if e > 0 else base.inverse() ** -e
+        length = -(-n // k)
+        # every pass runs through ceil(n/k): f_k^-3 is one division by
+        # the cube and f_k^4 a copy of it and one product by fk, the cube
+        # built first where none is kept, by two products by f1
+        passes = [("div" if e < 0 else "mul", length)] * {-3: 1, -1: 1, 1: 0, 4: 1}[e]
         etaq._CUBES.clear()
         kernel_passes.clear()
         assert eval_eta(EtaExpression.single(1, 0, {k: e}), n) == expected
-        # the first product is a copy; every other pass runs through
-        # ceil(n/k).  With no cube kept, building one pays only for f1^4
-        # at n = 101, whose two products of the build, f1 * f1 and
-        # f1 * f1^2 through 101, and its one pass after the copy of the
-        # cube are three products by f1 through 101, as unfolded
-        assert kernel_passes == [("div" if e < 0 else "mul", -(-n // k))] * (abs(e) - (e > 0))
-        # with the cube kept, f_k^-3 is one division by it and f_k^4 a
-        # copy of it and one product by fk
-        _cube_coeffs(1, n)
+        assert kernel_passes == [("mul", length)] * 2 * (abs(e) >= 3) + passes
         kernel_passes.clear()
         assert eval_eta(EtaExpression.single(1, 0, {k: e}), n) == expected
-        passes = {-3: 1, -1: 1, 1: 0, 4: 1}[e]
-        assert kernel_passes == [("div" if e < 0 else "mul", -(-n // k))] * passes
+        assert kernel_passes == passes
 
 
 def test_eval_factors_shared_powers_out_of_the_dissection_sum(kernel_passes):
@@ -281,6 +271,17 @@ def test_eval_shares_factors_of_shifted_terms_from_their_lowest_shift(kernel_pas
     # products through 10
     assert eval_eta("1/f1 + q^90/f1^20 + 2*q^90/f1^20 + 3*q^90/f1^20", 100) == expected
     assert sorted(kernel_passes) == [("div", 10)] * 21 + [("div", 100)] + [("mul", 10)] * 2
+
+
+def test_plan_does_not_depend_on_a_kept_cube():
+    # f1^-3 folds into one division by the cube, its build priced,
+    # whether or not a cube is kept: the plan and its price depend on
+    # (factors, n) alone
+    factors = [(1, -3), (2, 1)]
+    cold = etaq._plan_factors(factors, 100)
+    _cube_coeffs(1, 100)
+    assert etaq._plan_factors(factors, 100) == cold
+    assert cold[:2] == (((2, 1), (1, -3)), {1})
 
 
 @pytest.mark.parametrize("n", [1, 2, 31, 32, 33, 7000])

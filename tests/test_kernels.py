@@ -474,6 +474,29 @@ def test_weighted_divisors_run_the_same_in_either_loop(divisor, m):
     assert _kernels_py.div(a, b, n, m, expected[:p]) == expected
 
 
+@pytest.mark.parametrize("m", [2, 3, 7, 13, 2**64 + 13])
+def test_division_by_the_cube_reads_its_terms_mod_m(m):
+    """Mod m, div reads each term of the cube f1^3, whose weights are
+    1, -3, 5, -7, ..., as its residue of least absolute value: those
+    that vanish drop out and those that are +-1 count as unit terms
+    (mod 2 every term, mod 3 a third of them vanish), in _div_few and in
+    the interleaved loop alike, from a known prefix too."""
+    n = 701
+    rng = random.Random(m % 1000)
+    f1 = qpart.pochhammer_f(1, n).coeffs
+    cube = poly_mul(f1, poly_mul(f1, f1, n), n)
+    a = [rng.randint(-99, 99) for _ in range(n)]
+    expected = _reduced(poly_mul(a, poly_inv(cube, n), n), m)
+    exponents = [j for j in range(1, n) if cube[j]]
+    assert _kernels_py._units(cube, exponents, m) == sum(cube[j] % m in (1, m - 1)
+                                                         for j in exponents)
+    for p in (0, n // 3):
+        assert _kernels_py.div(a, cube, n, m, expected[:p]) == expected
+        assert _kernels_py._div_few(a, cube, n, m, expected[:p], exponents) == expected
+        with mock.patch.object(_kernels_py, "_FEW_TERMS", 0):
+            assert _kernels_py._divide(a, cube, n, m, expected[:p]) == expected
+
+
 def test_a_weighted_divisor_runs_div_few_at_any_length(monkeypatch):
     """The cube f1^3 has one term +-1, its constant, and about sqrt(2n)
     weighted ones: div runs it by _div_few, and f1 by the interleaved

@@ -11,9 +11,11 @@ runs for them, charged by their lengths, with the charge of expanding
 each term on its own.  Expressions whose scales share divisors, so
 that a term's passes run at several scales, are compared with the
 same reference and reduced mod m; the work of the passes, counted
-from the kernels, with that charge, from a kept cube f1^3 and from
-none; and the plan of a term's factors, their order and which of them
-fold into passes over fk^3, with every order and choice of folds.
+from the kernels, with the charge of eval_eta's plans, from a kept
+cube f1^3 and from none, in either lane; and the plan of a term's
+factors, their order and which of them fold into passes over fk^3,
+with every order and choice of folds.  That charge, and the family sweep's, never exceed
+the count of |e| passes over fk per factor, in either lane.
 Factors with exponents -10..10 at the paper's scales run folded, as
 planned, all folded or none, in every lane, against the same
 reference, and equal the series from a cube kept shorter or longer
@@ -208,35 +210,23 @@ def test_planned_passes_cost_no_more_than_the_charge(expr, order, kernel_passes)
 @checked
 @given(factors=st.dictionaries(st.sampled_from((1, 2, 3, 4, 6, 7, 8, 12, 14)),
                                st.integers(-6, 6).filter(bool), min_size=1, max_size=4),
-       order=st.integers(1, MAX_ORDER), m=st.sampled_from((None, 7, 2**30 + 3, 2**64 + 13)),
-       kept=st.sampled_from((0, 1, MAX_ORDER // 2, MAX_ORDER)))
-@example(factors={1: 2, 2: -3}, order=50, m=None, kept=0)
-@example(factors={1: 2, 2: -3}, order=MAX_ORDER, m=7, kept=MAX_ORDER)
-@example(factors={1: -20, 2: 8, 7: -7, 14: 18}, order=MAX_ORDER, m=None, kept=0)
-def test_plan_is_the_cheapest_order(factors, order, m, kept):
+       order=st.integers(1, MAX_ORDER))
+@example(factors={1: 2, 2: -3}, order=50)
+@example(factors={1: 2, 2: -3}, order=MAX_ORDER)
+@example(factors={1: -20, 2: 8, 7: -7, 14: 18}, order=MAX_ORDER)
+def test_plan_is_the_cheapest_order(factors, order):
     """_plan_factors returns the factors in an order, each folded into
-    cube passes or not, of least price, found here by trying every order
-    and every choice of folds: per factor its passes through ceil(N/g),
-    g the gcd of the scales applied so far, the first pass of a first
-    factor with e > 0 being a copy, of the cube where it folds.  A pass
-    is priced per coefficient and nonzero term of its operand below N,
-    fk (+-1) or fk^3 (weighted), or per coefficient where it is a
-    product in the modular lane that packs, plus the fixed charge of a
-    pass; a folded factor is charged the cube's build through ceil(N/k)
-    unless a kept cube reaches it."""
-    def nonzeros(coeffs):
-        return sum(1 for x in coeffs[:order] if x)
-
-    def price(length, terms, weighted, multiplies):
-        if (multiplies and m is not None and length >= _kernels_py._PACK_FROM
-                and 2 * (terms**2 if weighted else terms) * (m - 1) < 2**64):
-            return length * etaq._PACKED + 8 * etaq._PASS_OVERHEAD
-        rate = etaq._WEIGHTED if weighted else etaq._UNIT
-        return length * terms * rate + 8 * etaq._PASS_OVERHEAD
-
-    def cube_nonzeros(k):
-        base = _pochhammer(k)
-        return nonzeros(poly_mul(base, poly_mul(base, base, order), order))
+    cube passes or not, of least price, and that price, found here by
+    trying every order and every choice of folds: per factor its passes
+    through ceil(N/g), g the gcd of the scales applied so far, the first
+    pass of a first factor with e > 0 being a copy, of the cube where it
+    folds.  A pass through a length is priced that length times the
+    nonzero terms of its operand below N, fk or fk^3 alike, plus the
+    fixed charge of a pass; a folded factor fk^e adds the build of its
+    cube, two passes over f1 through ceil(N/k), whether or not a cube is
+    kept."""
+    def price(length, coeffs, below=order):
+        return length * sum(1 for x in coeffs[:below] if x) + etaq._PASS_OVERHEAD
 
     def work(plan):
         total, g = 0, 0
@@ -245,30 +235,26 @@ def test_plan_is_the_cheapest_order(factors, order, m, kept):
             length = -(-order // g)
             cubes = abs(e) // 3 if fold else 0
             singles = abs(e) - 3 * cubes
+            if fold:
+                total += 2 * price(-(-order // k), _pochhammer(1), -(-order // k))
             if i == 0 and e > 0:  # a copy
                 if cubes:
                     cubes -= 1
                 else:
                     singles -= 1
-            total += cubes * price(length, cube_terms[k], True, e > 0)
-            total += singles * price(length, nonzeros(_pochhammer(k)), False, e > 0)
-            c = -(-order // k)
-            if fold and kept < c:
-                total += c * etaq._BUILD + etaq._BUILD_FIXED
+            total += cubes * price(length, _dense_power(k, 3))
+            total += singles * price(length, _pochhammer(k))
         return total
 
     factors = sorted(factors.items())
-    cube_terms = {k: cube_nonzeros(k) for k, _ in factors}
-    etaq._CUBES.clear()
-    if kept:
-        etaq._cube_coeffs(1, kept)
     with mock.patch.object(etaq, "_PLAN_FROM", 1):  # planned at every order
-        plan = etaq._plan_factors(factors, order, m)
-    assert sorted((k, e) for k, e, _ in plan) == factors
+        ordered, folded, charge = etaq._plan_factors(factors, order)
+    assert sorted(ordered) == factors
     plans = [[(k, e, fold) for (k, e), fold in zip(p, folds)]
              for p in permutations(factors)
              for folds in product(*[(False, True) if abs(e) >= 3 else (False,) for _, e in p])]
-    assert work(plan) == min(map(work, plans))
+    best = min(map(work, plans))
+    assert work([(k, e, k in folded) for k, e in ordered]) == best == charge
 
 
 # Factors at the scales of the paper's expressions, with exponents
@@ -285,13 +271,20 @@ FOLD_MODULI = (None, 2, 7, 13, 2**30 + 3, 2**64 + 13)
 PAPER_TERMS = parse_eta("f1^-9*f2^7/f3^5 + 2*q^4*f1^6/f7^4 - f7^10*f14^-8")
 
 
+@contextlib.contextmanager
 def _forced_folds(fold):
     """Every factor with |e| >= 3 folded (True), none (False), or as the
-    plan prices it (None)."""
-    if fold is None:
-        return contextlib.nullcontext()
-    return mock.patch.object(etaq, "_factor_price",
-                             lambda terms, *_: (0, fold and abs(terms[1]) >= 3))
+    plan prices it (None).  The plans kept per expression are dropped on
+    the way in and out, so that each expansion inside is planned so, and
+    none planned so is read after."""
+    price = etaq._factor_price if fold is None else (
+        lambda terms, *_: (0, fold and abs(terms[1]) >= 3))
+    etaq._expansion_plan.cache_clear()
+    try:
+        with mock.patch.object(etaq, "_factor_price", price):
+            yield
+    finally:
+        etaq._expansion_plan.cache_clear()
 
 
 @checked
@@ -341,6 +334,73 @@ def test_passes_from_a_cold_cube_cost_no_more_than_the_charge(expr, order, kerne
     kernel_passes.clear()
     eval_eta(expr, order)
     assert kernel_passes.work <= etaq._expansion_work(expr, order)
+
+
+@settings(checked, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(expr=st.one_of(folded_expressions, divisor_expressions, shifted_expressions),
+       order=orders, m=st.sampled_from(FOLD_MODULI[1:]))
+@example(expr=PAPER_TERMS, order=MAX_ORDER, m=7)
+@example(expr=PAPER_TERMS, order=MAX_ORDER, m=2**30 + 3)
+def test_modular_passes_cost_no_more_than_the_charge(expr, order, m, kernel_passes):
+    """As test_passes_from_a_cold_cube_cost_no_more_than_the_charge, in
+    the modular lane, charged mod m.  Each pass is counted as in the
+    exact lane, its length times the nonzero terms of its sparse
+    operand: a product that packs runs no more shifted adds than those
+    terms, each over slots of at most 8 bytes a coefficient."""
+    etaq._CUBES.clear()
+    kernel_passes.clear()
+    eval_eta(expr, order, modulus=m)
+    assert kernel_passes.work <= etaq._expansion_work(expr, order, m)
+
+
+def _unfolded_work(expr, order):
+    """The charge of expanding each term of expr on its own by |e| passes
+    over fk per factor: the output, and per term c * q^s * prod fk^e
+    with s below the order the N - s coefficients it adds and |e|
+    passes over fk through N - s (_pass_work), whatever its coefficient
+    or the lane: the bound that keeps every refusal edge where it was
+    or moves it toward answering."""
+    work = order
+    for term in expr.terms:
+        n = order - term.q_shift
+        if n > 0:
+            work += n + sum(abs(e) * etaq._pass_work(k, n) for k, e in term.factors)
+    return work
+
+
+# Terms with large powers, as in the paper's checks: a_k = f2^(k-1)/f1^k,
+# the dissection terms and f_a^(b*p).
+large_powers = st.lists(
+    st.builds(EtaTerm.make, coefficient=st.integers(-9, 9), q_shift=st.integers(0, 50),
+              factors=st.dictionaries(st.integers(1, 40), st.integers(-10**6, 10**6),
+                                      max_size=4)),
+    min_size=1, max_size=4).map(lambda ts: EtaExpression(tuple(ts)))
+
+
+@checked
+@given(expr=st.one_of(expressions, shifted_expressions, divisor_expressions, large_powers),
+       order=st.one_of(orders, st.integers(1, 5000)),
+       m=st.sampled_from((None, 2, 7, 13, 199999, 2**30 + 3, 2**64 + 13)))
+@example(expr=parse_eta("f1^199999 - f199999"), order=50, m=199999)
+@example(expr=parse_eta("f1^-9000000"), order=3, m=None)
+@example(expr=PAPER_TERMS, order=2107, m=7)
+def test_charge_never_exceeds_the_unfolded_count(expr, order, m):
+    """The charge priced from eval_eta's plans never exceeds the count of
+    |e| passes over fk per factor, in either lane: every refusal edge
+    moves only toward accepting."""
+    assert etaq._expansion_work(expr, order, m) <= _unfolded_work(expr, order)
+
+
+def test_sweep_charge_never_exceeds_the_unfolded_count():
+    """The family sweep's charge, its own passes, never exceeds the count
+    of a direct expansion of its largest member plus one output series
+    per further member, for k <= 60 and orders 1..3000."""
+    expressions = {(family, k): family_expression(ColoredFamilySpec(family, k))
+                   for family in Family for k in range(1, 61)}
+    for order in range(1, 3001):
+        for (family, k), expr in expressions.items():
+            unfolded = _unfolded_work(expr, order) + order * (k - 1)
+            assert congruence._sweep_work(family, k, order, k) <= unfolded, (family, k, order)
 
 
 @checked
