@@ -118,14 +118,10 @@ _FACTOR_EXPECTED = frozenset({"integer", "'q'", "'f'", "'('"})
 _MAX_NESTING = 100
 
 
-class _Token(_Record):
-    __slots__ = ("kind", "text", "pos", "value")
-
-    def __init__(self, kind: str, text: str, pos: int, value: int = 0) -> None:
-        object.__setattr__(self, "kind", kind)  # "int" | "sym" | "end"
-        object.__setattr__(self, "text", text)
-        object.__setattr__(self, "pos", pos)
-        object.__setattr__(self, "value", value)
+# kind is "int", "sym" or "end"; value is the int of an "int" token.
+_Token = namedtuple("_Token", ("kind", "text", "pos", "value"))
+_DIGITS = frozenset("0123456789")  # ASCII only: str.isdigit also takes superscripts
+_SYMBOLS = frozenset("qf()+-*/^")
 
 
 def _tokenize(text: str) -> list[_Token]:
@@ -133,12 +129,12 @@ def _tokenize(text: str) -> list[_Token]:
     i, n = 0, len(text)
     while i < n:
         ch = text[i]
-        if ch.isspace():
+        if ch in _SYMBOLS:
+            tokens.append(_Token("sym", ch, i, 0))
             i += 1
-            continue
-        if ch in "0123456789":  # ASCII only: str.isdigit also takes superscripts
-            j = i
-            while j < n and text[j] in "0123456789":
+        elif ch in _DIGITS:
+            j = i + 1
+            while j < n and text[j] in _DIGITS:
                 j += 1
             try:
                 value = int(text[i:j])
@@ -146,13 +142,11 @@ def _tokenize(text: str) -> list[_Token]:
                 raise EtaSyntaxError(f"integer of {j - i} digits is too long", i) from None
             tokens.append(_Token("int", text[i:j], i, value))
             i = j
-            continue
-        if ch in "qf()+-*/^":
-            tokens.append(_Token("sym", ch, i))
+        elif ch.isspace():
             i += 1
-            continue
-        raise EtaSyntaxError(f"unexpected character {ch!r}", i)
-    tokens.append(_Token("end", "", n))
+        else:
+            raise EtaSyntaxError(f"unexpected character {ch!r}", i)
+    tokens.append(_Token("end", "", n, 0))
     return tokens
 
 

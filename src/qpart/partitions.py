@@ -93,13 +93,11 @@ class ColoredPartition(_Record):
         return sum(w for w, _ in self.parts)
 
     def __str__(self) -> str:
-        if not self.parts:
-            return "()"
-        rendered = [
-            f"{w}_{c}" if self.spec.color_count(w) > 1 else str(w)
-            for w, c in self.parts
-        ]
-        return "(" + ",".join(rendered) + ")"
+        spec = self.spec
+        # parts of weight w with w % 2 == colored carry a color; none do with one color
+        colored = -1 if spec.colors == 1 else int(spec.family is Family.ODD_COLORED)
+        return "(" + ",".join([f"{w}_{c}" if w % 2 == colored else str(w)
+                               for w, c in self.parts]) + ")"
 
 
 # _count_table refuses a table that would take more than this many

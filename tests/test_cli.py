@@ -13,6 +13,8 @@ from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import qpart
 from qpart import cli
@@ -455,6 +457,42 @@ def test_family_output_matches_pin(capsys, name, fmt):
     assert run(capsys, *_FAMILY_RUNS[name], "--format", fmt)[:2] == (0, expected)
 
 
+# One answer per format of each kind of request, recorded before `_emit`
+# rendered only the format asked for and wrote JSON by its own joins.
+_ANSWERS = json.loads((_PINNED / "cli-answers.json").read_text())
+
+
+@pytest.mark.parametrize("answer", _ANSWERS, ids=lambda answer: " ".join(answer["argv"]))
+def test_answer_matches_pin(capsys, answer):
+    assert run(capsys, *answer["argv"])[:2] == (answer["code"], answer["stdout"])
+
+
+# -- the JSON writer -----------------------------------------------------------
+
+_json_scalars = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.integers(-2**200, 2**200),
+    st.text(max_size=8), st.text(st.sampled_from('"\\/\n\t\x00\x7f\u00e9\u2028\U0001f600a'),
+                                 max_size=6))
+_json_values = st.recursive(
+    st.one_of(_json_scalars, st.lists(st.text(max_size=4), max_size=4),
+              st.lists(st.integers(-2**70, 2**70), max_size=4),
+              st.lists(st.lists(st.integers(-3, 40), max_size=3), max_size=4)),
+    lambda inner: st.one_of(st.lists(inner, max_size=4),
+                            st.dictionaries(st.text(max_size=4), inner, max_size=4)),
+    max_leaves=24)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(obj=_json_values)
+@example(obj=[])
+@example(obj={})
+@example(obj=[[]])
+@example(obj=[[], [1, 2]])
+@example(obj={"partitions": [[[3, 1], [1, 2]], []], "empty": {}, "none": [[[]]]})
+def test_json_writer_matches_json_dumps(obj):
+    assert cli._json(obj) == json.dumps(obj, indent=2)
+
+
 # -- determinism and process-level behavior ------------------------------------
 
 def test_identical_invocations_byte_identical(capsys):
@@ -508,7 +546,7 @@ _EVERY_SUBCOMMAND = [
 
 def _in_process(capsys, argv):
     try:
-        code = main(list(argv))
+        code = main(None if argv is None else list(argv))
     except SystemExit as exc:  # argparse ends usage errors and --help this way
         code = exc.code
     captured = capsys.readouterr()
@@ -568,3 +606,57 @@ def test_main_is_reentrant(capsys, monkeypatch):
     shuffled = random.Random(10).sample(_REENTRANT_ARGVS, len(_REENTRANT_ARGVS))
     for argv in _REENTRANT_ARGVS + shuffled:
         assert _in_process(capsys, argv) == fresh[argv], argv
+
+
+# Usage errors and help at every level, which the tree answers today: the
+# leaf that parses a request must print and exit exactly as the tree does.
+_USAGE_ARGVS = [
+    ("expand", "f1", "--bogus"),                      # unknown option
+    ("count", "a", "3"),                              # missing positional
+    ("count", "a", "3", "3", "4"),                    # extra positional
+    ("verify", "claim", "--k", "3", "--mod", "7", "--residue", "2", "x", "y"),
+    ("count", "a", "three", "3"),                     # bad int
+    ("count", "c", "3", "3"),                         # bad choice
+    ("expand", "f2^2/f1^3", "--order=4"),
+    ("expand", "f2^2/f1^3", "--ord", "4"),            # abbreviated option
+    ("expand", "--order", "4", "--", "f2^2/f1^3"),
+    ("expand", "f1", "-h"),
+    ("verify", "proof", "--help"),
+    ("verify",),
+    ("verify", "nope"),
+    ("nope",),
+    ("-h",),
+    (),
+]
+_LEAVES = {("expand",), ("count",), ("enumerate",), ("scan",),
+           *(("verify", what) for what in ("claim", "theorem14", "corollary",
+                                           "dissection", "frobenius", "proof"))}
+
+
+def test_leaf_parse_matches_tree(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", _COLUMNS)
+    argvs = _REENTRANT_ARGVS + _USAGE_ARGVS
+    by_leaf = [_in_process(capsys, argv) for argv in argvs]
+    monkeypatch.setattr(sys, "argv", ["qpart", "count", "a", "3", "3", "extra"])
+    by_leaf.append(_in_process(capsys, None))
+    monkeypatch.setattr(cli, "_parsers", lambda: (cli.build_parser(), {}))  # the tree alone
+    by_tree = [_in_process(capsys, argv) for argv in argvs + [None]]
+    for argv, leaf, tree in zip(argvs + [None], by_leaf, by_tree):
+        assert leaf == tree, argv
+    assert by_tree[-1][0] == 2 and "unrecognized arguments: extra" in by_tree[-1][2]
+    assert {code for code, _, _ in by_tree[len(_REENTRANT_ARGVS):]} == {0, 2}
+
+
+def test_leaf_requests_skip_the_tree(capsys, monkeypatch):
+    tree, leaves = cli._parsers()
+    assert set(leaves) == _LEAVES
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("parsed by the tree")
+
+    monkeypatch.setattr(tree, "parse_args", refuse)
+    monkeypatch.setattr(tree, "parse_known_args", refuse)
+    for argv in _EVERY_SUBCOMMAND:
+        assert _in_process(capsys, argv)[0] == 0
+    monkeypatch.setattr(sys, "argv", ["qpart", "count", "a", "3", "3"])
+    assert _in_process(capsys, None) == (0, "16\n", "")
